@@ -25,7 +25,7 @@ from .errors import (
     InvalidScaleError,
 )
 from .radix import _check_base
-from .table import CellSet
+from .table import CellSet, _sort_unique
 
 SEARCH_CAP = 10**6
 
@@ -86,12 +86,14 @@ def box_count(cells: CellSet, box_size: int) -> int:
     extent = cells.extent
     if box_size < 1 or extent % box_size != 0:
         raise InvalidScaleError(f"box size {box_size} does not divide extent {extent}")
-    if not cells.cells:
-        return 0
-    arr = cells.to_array() // box_size
-    boxes_across = extent // box_size
-    keys = arr[:, 0] * boxes_across + arr[:, 1]
-    return int(np.unique(keys).size)
+    # box key (row // box_size) * boxes_across + col // box_size, built in place
+    rows, cols = np.divmod(cells.keys, extent)
+    rows //= box_size
+    cols //= box_size
+    rows *= extent // box_size
+    rows += cols
+    del cols
+    return int(_sort_unique(rows).size)
 
 
 def estimate_dimension(cells: CellSet) -> DimensionEstimate:
@@ -102,18 +104,20 @@ def estimate_dimension(cells: CellSet) -> DimensionEstimate:
     determination. Sets whose counts do not vary across scales carry no
     scaling information and are rejected.
     """
-    if not cells.cells:
+    if not len(cells):
         raise EmptyInputError("cannot estimate the dimension of an empty cell set")
     scales = tuple(cells.base**j for j in range(cells.depth))
     if len(scales) < 2:
         raise InsufficientScalesError(f"need at least 2 scales, have {len(scales)}")
     counts = tuple(box_count(cells, s) for s in scales)
+    # tested on the integers: rounding in the mean can leave a constant log series a
+    # tiny nonzero variance
+    if len(set(counts)) == 1:
+        raise InsufficientScalesError("box counts are constant across scales")
     x = np.log(cells.extent / np.asarray(scales, dtype=float))
     y = np.log(np.asarray(counts, dtype=float))
     x_mean, y_mean = x.mean(), y.mean()
     ss_tot = float(((y - y_mean) ** 2).sum())
-    if ss_tot == 0.0:
-        raise InsufficientScalesError("box counts are constant across scales")
     slope = float(((x - x_mean) * (y - y_mean)).sum() / ((x - x_mean) ** 2).sum())
     residual = y - (y_mean + slope * (x - x_mean))
     fit_quality = 1.0 - float((residual**2).sum()) / ss_tot

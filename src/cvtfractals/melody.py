@@ -76,11 +76,6 @@ def resolve_scale(scale) -> tuple[int, ...]:
     return intervals
 
 
-def _row_pitch(row: int, extent: int, intervals: tuple[int, ...], base_pitch: int) -> int:
-    octave, degree = divmod(extent - 1 - row, len(intervals))
-    return max(0, min(127, base_pitch + 12 * octave + intervals[degree]))
-
-
 def cells_to_notes(
     cells: CellSet,
     scale="major",
@@ -92,35 +87,35 @@ def cells_to_notes(
 
     Rows map to scale degrees counted up from the bottom row at base_pitch,
     clamped to the MIDI range; overlapping notes from different rows are kept
-    (the melody may be polyphonic).
+    (the melody may be polyphonic). Notes tied on (onset, pitch) keep the
+    row-major order of their runs.
     """
-    if not cells.cells:
+    if not len(cells):
         raise EmptyInputError("cannot render an empty cell set")
     intervals = resolve_scale(scale)
     ticks_per_cell = operator.index(ticks_per_cell)
     if ticks_per_cell < 1:
         raise ValueError(f"ticks_per_cell must be >= 1, got {ticks_per_cell}")
-    notes = []
-    run_row = run_start = run_end = None
-    for row, col in cells:
-        if row == run_row and col == run_end + 1:
-            run_end = col
-            continue
-        if run_row is not None:
-            notes.append((run_row, run_start, run_end))
-        run_row, run_start, run_end = row, col, col
-    notes.append((run_row, run_start, run_end))
-    events = [
-        NoteEvent(
-            onset=start * ticks_per_cell,
-            duration=(end - start + 1) * ticks_per_cell,
-            pitch=_row_pitch(row, cells.extent, intervals, base_pitch),
-            velocity=velocity,
+    rows, cols = np.divmod(cells.keys, cells.extent)
+    # a run starts at every cell whose left neighbour is not in the set
+    starts = np.ones(rows.size, dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
+    first = np.flatnonzero(starts)
+    lengths = np.diff(first, append=rows.size)
+    octave, degree = np.divmod(cells.extent - 1 - rows[first], len(intervals))
+    # 12 * octave stays below 2**36, so limiting each degree's pitch to +-2**40
+    # keeps the int64 sum from wrapping without changing any clamped pitch
+    degree_pitch = np.array([min(max(base_pitch + i, -(2**40)), 2**40) for i in intervals])
+    pitch = np.clip(degree_pitch[degree] + 12 * octave, 0, 127)
+    # lexsort is stable; onset order is column order, and onsets are multiplied
+    # out as Python ints, which cannot overflow
+    order = np.lexsort((pitch, cols[first]))
+    return [
+        NoteEvent(c * ticks_per_cell, n * ticks_per_cell, p, velocity)
+        for c, n, p in zip(
+            cols[first][order].tolist(), lengths[order].tolist(), pitch[order].tolist()
         )
-        for row, start, end in notes
     ]
-    events.sort(key=lambda n: (n.onset, n.pitch))
-    return events
 
 
 def pitch_series(notes: Sequence[NoteEvent]) -> list[float]:
@@ -144,6 +139,8 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
     excluding the DC bin and any zero-power bins.
     """
     arr = np.asarray(series, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DegenerateSeriesError("series contains non-finite values")
     n = int(arr.size)
     if n < MIN_SPECTRUM_LENGTH:
         raise InsufficientDataError(f"need at least {MIN_SPECTRUM_LENGTH} samples, got {n}")
@@ -190,6 +187,8 @@ def write_midi(notes: Iterable[NoteEvent], ticks_per_quarter: int, tempo_bpm: in
     ticks_per_quarter = operator.index(ticks_per_quarter)
     if not 24 <= ticks_per_quarter <= 960:
         raise ValueError(f"ticks_per_quarter must be in [24, 960], got {ticks_per_quarter}")
+    if not tempo_bpm > 0:
+        raise ValueError(f"tempo_bpm must be > 0, got {tempo_bpm}")
     micros_per_quarter = round(60_000_000 / tempo_bpm)
     if not 1 <= micros_per_quarter <= 0xFFFFFF:
         raise ValueError(f"tempo {tempo_bpm} bpm does not fit a set-tempo event")

@@ -90,7 +90,7 @@ def iterate_overflow_fractal(
     depth = operator.index(depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not gen.cells:
+    if not len(gen):
         raise ValueError("generator must be nonempty")
     modulus = gen.extent
     _check_pattern_size(modulus**depth, len(gen) ** depth, max_extent)

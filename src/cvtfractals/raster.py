@@ -58,9 +58,7 @@ def render_cellset(cells: CellSet, zoom: int = 1, max_side: int = MAX_SIDE) -> R
     """Bilevel image of a pattern: one zoom x zoom block of 1s per cell."""
     zoom = _check_zoom(cells.extent, zoom, max_side)
     pixels = np.zeros((cells.extent, cells.extent), dtype=np.uint8)
-    if cells.cells:
-        arr = cells.to_array()
-        pixels[arr[:, 0], arr[:, 1]] = 1
+    pixels.reshape(-1)[cells.keys] = 1  # a key is the cell's row-major pixel index
     return RasterImage(_zoomed(pixels, zoom), BILEVEL)
 
 

@@ -19,6 +19,9 @@ from .radix import _check_base
 MAX_TABLE_EXTENT = 4096
 MAX_SPARSE_EXTENT = 1 << 20
 MAX_CELLS = 1 << 24
+# largest CellSet extent: row * extent + col must fit an int64 key
+MAX_KEY_EXTENT = 1 << 31
+_CSV_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,54 +46,97 @@ class CvTable:
         return int(self.values[row, col])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CellSet:
     """Sparse set of (row, col) cells on a base**depth grid.
 
-    Cells are normalized on construction: sorted lexicographically with
-    duplicates removed. Accepts any iterable of pairs, including numpy arrays.
+    The cells are held as one read-only, sorted, duplicate-free int64 array
+    `keys` of row * extent + col, so row-major order is key order. Accepts any
+    iterable of pairs, including an (n, 2) integer numpy array. `cells` and
+    iteration build (row, col) tuples on demand.
     """
 
     base: int
     depth: int
-    cells: tuple[tuple[int, int], ...]
+    keys: np.ndarray
 
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        if operator.index(self.depth) < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        extent = self.extent
-        raw = self.cells
-        if isinstance(raw, np.ndarray):
-            if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
-                raise ValueError(f"cell array must have shape (n, 2), got {raw.shape}")
-            if raw.size and ((raw < 0).any() or (raw >= extent).any()):
+    def __init__(self, base: int, depth: int, cells) -> None:
+        base = _check_base(base)
+        depth = operator.index(depth)
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
+        # the depth test spares computing base**depth for absurd depths
+        if depth >= MAX_KEY_EXTENT.bit_length() or base**depth > MAX_KEY_EXTENT:
+            raise SizeLimitError(f"grid extent {base}**{depth} exceeds limit {MAX_KEY_EXTENT}")
+        extent = base**depth
+        if isinstance(cells, np.ndarray) and cells.size:
+            if cells.ndim != 2 or cells.shape[1] != 2:
+                raise ValueError(f"cell array must have shape (n, 2), got {cells.shape}")
+            if not np.issubdtype(cells.dtype, np.integer):
+                raise TypeError(f"cell array must hold integers, got {cells.dtype}")
+            if (cells < 0).any() or (cells >= extent).any():
                 raise ValueError(f"cell coordinates out of range for extent {extent}")
-            pairs = [tuple(rc) for rc in raw.tolist()]
+            pairs = cells.astype(np.int64, copy=False)
         else:
-            pairs = []
-            for r, c in raw:
+            checked = []
+            for r, c in cells:
                 r, c = operator.index(r), operator.index(c)
                 if not (0 <= r < extent and 0 <= c < extent):
                     raise ValueError(f"cell ({r}, {c}) out of range for extent {extent}")
-                pairs.append((r, c))
-        object.__setattr__(self, "cells", tuple(sorted(set(pairs))))
+                checked.append((r, c))
+            pairs = np.array(checked, dtype=np.int64).reshape(-1, 2)
+        keys = pairs[:, 0] * extent
+        keys += pairs[:, 1]
+        keys = _sort_unique(keys)
+        keys.setflags(write=False)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "keys", keys)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.depth) == (other.base, other.depth) and np.array_equal(
+            self.keys, other.keys
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.depth, self.keys.tobytes()))
 
     @property
     def extent(self) -> int:
         return self.base**self.depth
 
+    @property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        """The cells as sorted (row, col) tuples, built on each access."""
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.keys.size
 
     def __iter__(self):
-        return iter(self.cells)
+        rows, cols = np.divmod(self.keys, self.extent)
+        return zip(rows.tolist(), cols.tolist())
 
     def to_array(self) -> np.ndarray:
-        """Cells as an (n, 2) int64 array (shape (0, 2) when empty)."""
-        if not self.cells:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(self.cells, dtype=np.int64)
+        """Cells as an (n, 2) int64 array in sorted order (shape (0, 2) when empty)."""
+        return np.stack(np.divmod(self.keys, self.extent), axis=1)
+
+
+def _sort_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort a fresh int64 array in place and drop repeats, without np.unique.
+
+    np.unique is many times slower than a sort plus an adjacent-difference
+    mask on large int64 arrays.
+    """
+    keys.sort()
+    if keys.size < 2:
+        return keys
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys if keep.all() else keys[keep]
 
 
 def build_table(base: int, digits_k: int, max_extent: int = MAX_TABLE_EXTENT) -> CvTable:
@@ -169,7 +215,13 @@ def write_table_csv(table: CvTable, path) -> None:
 
 
 def write_cells_csv(cells: CellSet, path) -> None:
-    """One "row,col" line per cell, in the set's sorted order."""
+    """One "row,col" line per cell, in the set's sorted order.
+
+    Each block of cells is formatted by one %-operation; blocks bound the
+    memory taken by the intermediate Python ints.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
-        for row, col in cells:
-            fh.write(f"{row},{col}\n")
+        for start in range(0, len(cells), _CSV_BLOCK_CELLS):
+            rows, cols = np.divmod(cells.keys[start : start + _CSV_BLOCK_CELLS], cells.extent)
+            pairs = np.stack((rows, cols), axis=1).ravel().tolist()
+            fh.write(("%d,%d\n" * rows.size) % tuple(pairs))

@@ -28,6 +28,23 @@ def brute_force_run_count(cells) -> int:
     return sum(1 for (r, c) in occupied if (r, c - 1) not in occupied)
 
 
+def brute_force_runs(cells) -> list[tuple[int, int, int]]:
+    """Maximal horizontal runs as (row, start_col, length), in row-major order.
+
+    Walks right from every cell whose left neighbor is absent.
+    """
+    occupied = set(cells)
+    runs = []
+    for r, c in sorted(occupied):
+        if (r, c - 1) in occupied:
+            continue
+        length = 1
+        while (r, c + length) in occupied:
+            length += 1
+        runs.append((r, c, length))
+    return runs
+
+
 def parse_pnm(data: bytes):
     """Parse ASCII P1/P2 data into (mode, width, height, rows-of-ints)."""
     tokens = data.decode("ascii").split()

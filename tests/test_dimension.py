@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvtfractals import (
     CellSet,
@@ -10,6 +12,7 @@ from cvtfractals import (
     InsufficientScalesError,
     InvalidBaseError,
     InvalidScaleError,
+    SizeLimitError,
     base_for_target_dimension,
     box_count,
     dimension_gap,
@@ -19,6 +22,14 @@ from cvtfractals import (
     zero_carry_set,
 )
 from helpers import brute_force_box_count
+
+
+@st.composite
+def random_cellsets(draw, min_depth=0):
+    base = draw(st.integers(min_value=2, max_value=6))
+    depth = draw(st.integers(min_value=min_depth, max_value=3 if base <= 3 else 2))
+    coord = st.integers(min_value=0, max_value=base**depth - 1)
+    return CellSet(base, depth, draw(st.lists(st.tuples(coord, coord), max_size=50)))
 
 
 class TestSimilarityDimension:
@@ -135,6 +146,21 @@ class TestBoxCount:
     def test_empty_set(self):
         assert box_count(CellSet(2, 2, []), 2) == 0
 
+    @given(random_cellsets())
+    def test_random_sets_against_brute_force_at_every_divisor(self, cells):
+        extent = cells.extent
+        for size in (s for s in range(1, extent + 1) if extent % s == 0):
+            assert box_count(cells, size) == brute_force_box_count(cells, extent, size)
+
+    def test_wide_grid_is_refused_not_miscounted(self):
+        # row * extent + col keys of a 2**40-wide grid overflow int64; the four
+        # cells lie in four distinct unit boxes, so any count but 4 is wrong
+        try:
+            count = box_count(CellSet(2, 40, [(0, 0), (1, 0), (2**33, 0), (1, 2**33)]), 1)
+        except SizeLimitError:
+            return
+        assert count == 4
+
     def test_non_divisor_scale(self):
         with pytest.raises(InvalidScaleError):
             box_count(zero_carry_set(2, 2), 3)
@@ -168,6 +194,17 @@ class TestEstimateDimension:
         est = estimate_dimension(zero_carry_set(base, depth))
         assert all(c > 0 for c in est.counts)
         assert all(a >= b for a, b in zip(est.counts, est.counts[1:]))
+
+    @given(random_cellsets(min_depth=2))
+    def test_counts_match_brute_force(self, cells):
+        expected = tuple(
+            brute_force_box_count(cells, cells.extent, cells.base**j) for j in range(cells.depth)
+        )
+        if len(set(expected)) > 1:
+            assert estimate_dimension(cells).counts == expected
+        else:
+            with pytest.raises((EmptyInputError, InsufficientScalesError)):
+                estimate_dimension(cells)
 
     def test_insufficient_scales(self):
         with pytest.raises(InsufficientScalesError):

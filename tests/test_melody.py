@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cvtfractals import (
     write_notes_csv,
     zero_carry_set,
 )
-from helpers import brute_force_run_count, parse_smf
+from helpers import brute_force_run_count, brute_force_runs, parse_smf
 
 
 class TestCellsToNotes:
@@ -71,6 +73,35 @@ class TestCellsToNotes:
         cells = zero_carry_set(base, depth)
         notes = cells_to_notes(cells, ticks_per_cell=7)
         assert sum(n.duration for n in notes) == len(cells) * 7
+
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+        st.one_of(
+            st.sampled_from(["major", "pentatonic"]),
+            st.lists(st.integers(), min_size=1, max_size=7).map(tuple),
+        ),
+        st.one_of(st.integers(min_value=-40, max_value=140), st.integers()),
+        st.one_of(st.integers(min_value=1, max_value=9), st.integers(min_value=1)),
+    )
+    @settings(max_examples=60)
+    def test_notes_match_run_walk(self, base, depth, data, scale, base_pitch, ticks):
+        extent = base**depth
+        coord = st.integers(min_value=0, max_value=extent - 1)
+        pairs = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+        cells = CellSet(base, depth, pairs)
+        intervals = resolve_scale(scale)
+        expected = []
+        for row, start, length in brute_force_runs(pairs):
+            octave, degree = divmod(extent - 1 - row, len(intervals))
+            pitch = max(0, min(127, base_pitch + 12 * octave + intervals[degree]))
+            expected.append(NoteEvent(start * ticks, length * ticks, pitch, 100))
+        # stable: notes tied on (onset, pitch) keep the row-major order of their runs
+        expected.sort(key=lambda n: (n.onset, n.pitch))
+        notes = cells_to_notes(cells, scale=scale, base_pitch=base_pitch, ticks_per_cell=ticks)
+        assert len(notes) == brute_force_run_count(pairs)
+        assert notes == expected
 
     def test_scale_degrees(self):
         cells = CellSet(8, 1, [(row, 0) for row in range(8)])
@@ -136,6 +167,21 @@ class TestSpectralExponent:
     def test_constant_series(self):
         with pytest.raises(DegenerateSeriesError):
             spectral_exponent([5.0] * 64)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            [float("nan")] * 64,
+            [0.0] * 31 + [float("inf")] + [1.0] * 32,
+            list(range(63)) + [float("nan")],
+            [float("-inf")] + [1.0, 2.0] * 32,
+        ],
+    )
+    def test_non_finite_series_rejected(self, series):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSeriesError, match="non-finite"):
+                spectral_exponent(series)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
@@ -218,6 +264,13 @@ class TestWriteMidi:
     def test_tempo_too_slow_for_three_bytes(self, tmp_path):
         with pytest.raises(ValueError):
             write_midi([], ticks_per_quarter=480, tempo_bpm=3, path=tmp_path / "x.mid")
+
+    @pytest.mark.parametrize("tempo", [0, -120, 0.0])
+    def test_non_positive_tempo(self, tmp_path, tempo):
+        path = tmp_path / "x.mid"
+        with pytest.raises(ValueError, match="tempo_bpm must be > 0"):
+            write_midi([], ticks_per_quarter=480, tempo_bpm=tempo, path=path)
+        assert not path.exists()
 
     def test_long_delta_uses_vlq(self, tmp_path):
         notes = [NoteEvent(0, 100, 60, 90), NoteEvent(100_000, 50, 61, 90)]

@@ -45,6 +45,18 @@ class TestRenderCellset:
         assert image.pixels[3:6, 0:3].all()
         assert not image.pixels[0:3, :].any()
 
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_pixels_mark_exactly_the_cells(self, base, depth, data):
+        extent = base**depth
+        coord = st.integers(min_value=0, max_value=extent - 1)
+        pairs = set(data.draw(st.lists(st.tuples(coord, coord), max_size=30)))
+        pixels = render_cellset(CellSet(base, depth, pairs)).pixels.tolist()
+        assert pixels == [[int((r, c) in pairs) for c in range(extent)] for r in range(extent)]
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             render_cellset(zero_carry_set(2, 8), zoom=65)  # 256 * 65 > 2**14

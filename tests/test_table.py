@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvtfractals import (
     CellSet,
@@ -14,6 +16,16 @@ from cvtfractals import (
     write_table_csv,
     zero_carry_set,
 )
+
+
+@st.composite
+def grids_and_pairs(draw, max_cells=40):
+    """(base, depth, pairs) with pairs anywhere on the base**depth grid, repeats allowed."""
+    base = draw(st.integers(min_value=2, max_value=4))
+    depth = draw(st.integers(min_value=0, max_value=3))
+    coord = st.integers(min_value=0, max_value=base**depth - 1)
+    pairs = draw(st.lists(st.tuples(coord, coord), max_size=max_cells))
+    return base, depth, pairs
 
 
 class TestBuildTable:
@@ -153,6 +165,55 @@ class TestCellSet:
         arr = np.array([[1, 0], [0, 0]])
         assert CellSet(2, 1, arr).cells == ((0, 0), (1, 0))
 
+    @given(grids_and_pairs())
+    def test_normalization_matches_sorted_set(self, grid):
+        base, depth, pairs = grid
+        expected = tuple(sorted(set(pairs)))
+        assert CellSet(base, depth, pairs).cells == expected
+        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        from_array = CellSet(base, depth, arr)
+        assert from_array.cells == expected
+        assert from_array.to_array().tolist() == [list(rc) for rc in expected]
+
+    def test_keys_are_sorted_row_major_and_read_only(self):
+        cells = CellSet(3, 1, [(2, 0), (0, 1), (2, 0)])
+        assert cells.keys.dtype == np.int64
+        assert cells.keys.tolist() == [1, 6]
+        with pytest.raises(ValueError):
+            cells.keys[0] = 0
+
+    def test_equality_compares_base_depth_and_cells(self):
+        cells = CellSet(2, 2, [(0, 1), (3, 3)])
+        assert cells == CellSet(2, 2, np.array([[3, 3], [0, 1], [0, 1]]))
+        assert hash(cells) == hash(CellSet(2, 2, [(3, 3), (0, 1)]))
+        assert cells != CellSet(4, 1, [(0, 1), (3, 3)])  # same extent, other base
+        assert cells != CellSet(2, 3, [(0, 1), (3, 3)])
+        assert cells != CellSet(2, 2, [(0, 1)])
+        assert cells != ((0, 1), (3, 3))
+
+    def test_immutable(self):
+        cells = CellSet(2, 1, [(0, 0)])
+        with pytest.raises(AttributeError):
+            cells.depth = 2
+
+    def test_rejects_extent_whose_keys_overflow_int64(self):
+        # keys row * extent + col must fit an int64, so the extent stops at 2**31
+        with pytest.raises(SizeLimitError):
+            CellSet(2, 32, [(0, 0)])
+        with pytest.raises(SizeLimitError):
+            CellSet(2, 10**9, [])
+        corner = 2**31 - 1
+        widest = CellSet(2, 31, [(corner, corner), (0, 0)])
+        assert widest.cells == ((0, 0), (corner, corner))
+
+    def test_rejects_malformed_arrays(self):
+        with pytest.raises(ValueError):
+            CellSet(2, 1, np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(TypeError):
+            CellSet(2, 1, np.array([[0.5, 0.0]]))
+        with pytest.raises(ValueError):
+            CellSet(2, 1, np.array([[0, 2]]))
+
     def test_to_array_empty(self):
         assert CellSet(2, 1, []).to_array().shape == (0, 2)
 
@@ -172,6 +233,21 @@ class TestCsvExports:
         path = tmp_path / "cells.csv"
         write_cells_csv(zero_carry_set(2, 1), path)
         assert path.read_bytes() == b"0,0\n0,1\n1,0\n"
+
+    @given(grids_and_pairs())
+    def test_cells_csv_matches_sorted_pairs(self, tmp_path_factory, grid):
+        base, depth, pairs = grid
+        path = tmp_path_factory.mktemp("cells") / "cells.csv"
+        write_cells_csv(CellSet(base, depth, pairs), path)
+        expected = "".join(f"{r},{c}\n" for r, c in sorted(set(pairs)))
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_cells_csv_spans_several_blocks(self, tmp_path):
+        pairs = np.random.default_rng(0).integers(0, 1024, size=(150_000, 2))
+        path = tmp_path / "cells.csv"
+        write_cells_csv(CellSet(2, 10, pairs), path)
+        expected = "".join(f"{r},{c}\n" for r, c in sorted(set(map(tuple, pairs.tolist()))))
+        assert path.read_bytes() == expected.encode("ascii")
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
