@@ -24,6 +24,7 @@ from .errors import (
     InsufficientScalesError,
     InvalidScaleError,
 )
+from .output import write_chunks
 from .radix import _check_base
 from .table import CellSet, _sort_unique
 
@@ -139,5 +140,4 @@ def write_dimension_csv(estimate: DimensionEstimate, path, extent: int | None = 
         lines.append(f"{scale},{count},{math.log(extent / scale):.6f},{math.log(count):.6f}")
     lines.append(f"slope,{estimate.slope:.6f}")
     lines.append(f"fit_quality,{estimate.fit_quality:.6f}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_chunks(path, [("\n".join(lines) + "\n").encode("ascii")])

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     InsufficientDataError,
 )
+from .output import write_chunks
 from .table import CellSet
 
 SCALES: dict[str, tuple[int, ...]] = {
@@ -211,9 +212,7 @@ def write_midi(notes: Iterable[NoteEvent], ticks_per_quarter: int, tempo_bpm: in
         + (1).to_bytes(2, "big")
         + ticks_per_quarter.to_bytes(2, "big")
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(b"MTrk" + len(track).to_bytes(4, "big") + bytes(track))
+    write_chunks(path, [header, b"MTrk" + len(track).to_bytes(4, "big"), track])
 
 
 def write_notes_csv(notes: Iterable[NoteEvent], path) -> None:
@@ -222,8 +221,7 @@ def write_notes_csv(notes: Iterable[NoteEvent], path) -> None:
     lines = ["onset,duration,pitch,velocity"]
     for n in ordered:
         lines.append(f"{n.onset},{n.duration},{n.pitch},{n.velocity}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_chunks(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 
 def read_series_csv(path) -> list[float]:

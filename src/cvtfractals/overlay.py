@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .dimension import DimensionEstimate, estimate_dimension
 from .errors import InvalidPairError
+from .output import write_chunks
 from .radix import _check_base
 from .table import MAX_SPARSE_EXTENT, CellSet, _check_pattern_size, _substitute
 
@@ -126,8 +127,7 @@ def analyze_overlay(
 
 def write_overlay_report(report: OverlayReport, path) -> None:
     """Write the human-readable report text."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(report.to_text() + "\n")
+    write_chunks(path, [(report.to_text() + "\n").encode("ascii")])
 
 
 def write_overlay_scales_csv(report: OverlayReport, path) -> None:
@@ -135,5 +135,4 @@ def write_overlay_scales_csv(report: OverlayReport, path) -> None:
     lines = ["scale,count"]
     for scale, count in zip(report.measured.scales, report.measured.counts):
         lines.append(f"{scale},{count}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_chunks(path, [("\n".join(lines) + "\n").encode("ascii")])

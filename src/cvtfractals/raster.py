@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError
+from .output import ascii_rows, write_chunks
 from .table import CellSet, CvTable
 
 MAX_SIDE = 1 << 14
@@ -18,7 +19,7 @@ GRAY = "gray"
 
 @dataclass(frozen=True, eq=False)
 class RasterImage:
-    """Row-major pixel grid; bilevel pixels are 0/1, gray pixels 0..255."""
+    """Row-major integer pixel grid; bilevel pixels are 0/1, gray pixels 0..255."""
 
     pixels: np.ndarray
     mode: str
@@ -28,6 +29,11 @@ class RasterImage:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.pixels.ndim != 2:
             raise ValueError("pixels must be a 2D array")
+        if not np.issubdtype(self.pixels.dtype, np.integer):
+            raise ValueError(f"pixels must be integers, got {self.pixels.dtype}")
+        maxval = 1 if self.mode == BILEVEL else 255
+        if self.pixels.size and (self.pixels.min() < 0 or self.pixels.max() > maxval):
+            raise ValueError(f"{self.mode} pixels must lie in 0..{maxval}")
         self.pixels.setflags(write=False)
 
     @property
@@ -77,15 +83,16 @@ def render_table(table: CvTable, zoom: int = 1, max_side: int = MAX_SIDE) -> Ras
     return RasterImage(_zoomed(pixels, zoom), GRAY)
 
 
-def _encode_pnm(image: RasterImage) -> bytes:
+def _pnm_chunks(image: RasterImage):
     if image.mode == BILEVEL:
-        header = f"P1\n{image.width} {image.height}\n"
+        yield f"P1\n{image.width} {image.height}\n".encode("ascii")
     else:
-        header = f"P2\n{image.width} {image.height}\n255\n"
-    rows = "".join(
-        " ".join(str(int(v)) for v in row) + "\n" for row in image.pixels
-    )
-    return (header + rows).encode("ascii")
+        yield f"P2\n{image.width} {image.height}\n255\n".encode("ascii")
+    yield from ascii_rows(image.pixels, " ")
+
+
+def _encode_pnm(image: RasterImage) -> bytes:
+    return b"".join(_pnm_chunks(image))
 
 
 def write_pnm(image: RasterImage, path) -> None:
@@ -95,5 +102,4 @@ def write_pnm(image: RasterImage, path) -> None:
     one line per pixel row with single-space separators and no comments. The
     byte stream is fully determined by the image.
     """
-    with open(path, "wb") as fh:
-        fh.write(_encode_pnm(image))
+    write_chunks(path, _pnm_chunks(image))

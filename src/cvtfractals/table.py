@@ -8,12 +8,14 @@ deeper level substitutes that generator into every retained cell.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeLimitError
+from .output import ascii_rows, write_chunks
 from .radix import _check_base
 
 MAX_TABLE_EXTENT = 4096
@@ -21,7 +23,6 @@ MAX_SPARSE_EXTENT = 1 << 20
 MAX_CELLS = 1 << 24
 # largest CellSet extent: row * extent + col must fit an int64 key
 MAX_KEY_EXTENT = 1 << 31
-_CSV_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,23 +206,12 @@ def write_table_csv(table: CvTable, path) -> None:
 
     The top-left corner cell is left empty; body cells are decimal carry values.
     """
-    extent = table.extent
-    header = "," + ",".join(str(i) for i in range(extent))
-    lines = [header]
-    for row in range(extent):
-        lines.append(f"{row}," + ",".join(str(int(v)) for v in table.values[row]))
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    index = np.arange(table.extent)
+    header = ascii_rows(index[None, :], ",")
+    body = ascii_rows(np.column_stack((index, table.values)), ",")
+    write_chunks(path, itertools.chain([b","], header, body))
 
 
 def write_cells_csv(cells: CellSet, path) -> None:
-    """One "row,col" line per cell, in the set's sorted order.
-
-    Each block of cells is formatted by one %-operation; blocks bound the
-    memory taken by the intermediate Python ints.
-    """
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for start in range(0, len(cells), _CSV_BLOCK_CELLS):
-            rows, cols = np.divmod(cells.keys[start : start + _CSV_BLOCK_CELLS], cells.extent)
-            pairs = np.stack((rows, cols), axis=1).ravel().tolist()
-            fh.write(("%d,%d\n" * rows.size) % tuple(pairs))
+    """One "row,col" line per cell, in the set's sorted order."""
+    write_chunks(path, ascii_rows(cells.to_array(), ","))

@@ -45,6 +45,25 @@ def brute_force_runs(cells) -> list[tuple[int, int, int]]:
     return runs
 
 
+def pnm_bytes(pixels, mode: str) -> bytes:
+    """ASCII PBM (bilevel) or PGM (gray, maxval 255) bytes of a 2D pixel array.
+
+    Magic line, "width height" line, the maxval line for PGM, then one line
+    per pixel row with the decimal values separated by single spaces.
+    """
+    height, width = pixels.shape
+    header = f"P1\n{width} {height}\n" if mode == "bilevel" else f"P2\n{width} {height}\n255\n"
+    body = "".join(" ".join(str(v) for v in row) + "\n" for row in pixels.tolist())
+    return (header + body).encode("ascii")
+
+
+def csv_bytes(rows, header=None) -> bytes:
+    """CSV bytes: the optional header line, then one line per row, each ending in a newline."""
+    lines = [] if header is None else [header]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
 def parse_pnm(data: bytes):
     """Parse ASCII P1/P2 data into (mode, width, height, rows-of-ints)."""
     tokens = data.decode("ascii").split()

@@ -1,0 +1,240 @@
+import os
+import stat
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from cvtfractals import (
+    CellSet,
+    build_table,
+    dimension,
+    melody,
+    output,
+    overlay,
+    raster,
+    table,
+    write_cells_csv,
+    write_table_csv,
+    zero_carry_set,
+)
+from cvtfractals.output import ascii_rows, write_chunks
+from cvtfractals.raster import RasterImage, _encode_pnm
+from helpers import csv_bytes, pnm_bytes
+
+EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255)
+SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
+
+
+def table_csv_oracle(tab):
+    header = "," + ",".join(str(i) for i in range(tab.extent))
+    return csv_bytes([[i, *row] for i, row in enumerate(tab.values.tolist())], header)
+
+
+class TestPnmBytes:
+    @given(arrays(np.uint8, SHAPES, elements=st.integers(0, 1)))
+    def test_bilevel_matches_oracle(self, pixels):
+        assert _encode_pnm(RasterImage(pixels, "bilevel")) == pnm_bytes(pixels, "bilevel")
+
+    @given(arrays(np.uint8, SHAPES, elements=st.sampled_from(EDGE_VALUES) | st.integers(0, 255)))
+    def test_gray_matches_oracle(self, pixels):
+        assert _encode_pnm(RasterImage(pixels, "gray")) == pnm_bytes(pixels, "gray")
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0)])
+    @pytest.mark.parametrize("mode", ["bilevel", "gray"])
+    def test_empty_shapes(self, shape, mode):
+        pixels = np.zeros(shape, dtype=np.uint8)
+        assert _encode_pnm(RasterImage(pixels, mode)) == pnm_bytes(pixels, mode)
+
+    def test_wide_int64_gray(self):
+        pixels = np.array([EDGE_VALUES, EDGE_VALUES[::-1]], dtype=np.int64)
+        assert _encode_pnm(RasterImage(pixels, "gray")) == (
+            b"P2\n7 2\n255\n0 1 9 10 99 100 255\n255 100 99 10 9 1 0\n"
+        )
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize(
+        "base,digits",
+        [(b, k) for b in range(2, 17) for k in range(1, 9) if b**k <= 256],
+    )
+    def test_table_csv_matches_oracle(self, base, digits, tmp_path):
+        tab = build_table(base, digits)
+        path = tmp_path / "t.csv"
+        write_table_csv(tab, path)
+        assert path.read_bytes() == table_csv_oracle(tab)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_cells_csv_matches_oracle(self, data, tmp_path_factory):
+        # grids up to the 2**31 key limit, so coordinates take up to 10 digits
+        base = data.draw(st.integers(min_value=2, max_value=7))
+        depth = data.draw(st.integers(min_value=0, max_value=31).filter(lambda d: base**d <= 2**31))
+        coord = st.integers(min_value=0, max_value=base**depth - 1)
+        pairs = data.draw(st.lists(st.tuples(coord, coord), max_size=30))
+        path = tmp_path_factory.mktemp("cells") / "c.csv"
+        write_cells_csv(CellSet(base, depth, pairs), path)
+        assert path.read_bytes() == csv_bytes(sorted(set(pairs)))
+
+
+class TestAsciiRows:
+    @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
+    @given(
+        arrays(
+            np.int64,
+            SHAPES,
+            elements=st.sampled_from(EDGE_VALUES) | st.integers(0, 2**62),
+        ),
+        st.sampled_from([" ", ","]),
+    )
+    def test_matches_join(self, table_limit, values, sep):
+        # a limit of 0 spells every value by division, never by lookup table
+        old = output._TABLE_LIMIT
+        output._TABLE_LIMIT = table_limit
+        try:
+            got = b"".join(ascii_rows(values, sep))
+        finally:
+            output._TABLE_LIMIT = old
+        assert got == "".join(sep.join(map(str, row)) + "\n" for row in values.tolist()).encode()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
+    def test_block_boundaries(self, block, monkeypatch, tmp_path):
+        # with 7 columns most of these block sizes end a block mid-row
+        monkeypatch.setattr(output, "BLOCK_VALUES", block)
+        rng = np.random.default_rng(block)
+        gray = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)
+        assert _encode_pnm(RasterImage(gray, "gray")) == pnm_bytes(gray, "gray")
+        bits = rng.integers(0, 2, size=(6, 7)).astype(np.uint8)
+        assert _encode_pnm(RasterImage(bits, "bilevel")) == pnm_bytes(bits, "bilevel")
+        tab = build_table(3, 2)
+        write_table_csv(tab, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
+        assert len(list(ascii_rows(gray, " "))) == -(-gray.size // block)
+
+    @pytest.mark.parametrize(
+        "values", [np.array([[1, -1]]), np.array([[0.0, 1.0]]), np.array([[True]])]
+    )
+    def test_rejects_non_natural_values(self, values):
+        with pytest.raises(ValueError):
+            list(ascii_rows(values, ","))
+
+
+def failing_chunks():
+    yield b"partial "
+    raise RuntimeError("encoder failed")
+
+
+class TestWriteChunks:
+    def test_writes_all_chunks(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_chunks(path, [b"ab", bytearray(b"cd"), b""])
+        assert path.read_bytes() == b"abcd"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failure_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with pytest.raises(RuntimeError):
+            write_chunks(path, failing_chunks())
+        assert os.listdir(tmp_path) == []
+
+    def test_failure_keeps_old_bytes(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        with pytest.raises(RuntimeError):
+            write_chunks(path, failing_chunks())
+        assert path.read_bytes() == b"old contents"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_matches_open(self, umask, tmp_path):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            write_chunks(tmp_path / "written", [b"x"])
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "written").st_mode == os.stat(tmp_path / "reference").st_mode
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        os.chmod(path, 0o640)
+        write_chunks(path, [b"new"])
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert path.read_bytes() == b"new"
+
+    def test_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.bin"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.bin"
+        link.symlink_to(target)
+        write_chunks(link, [b"new"])
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new"
+
+    def test_fifo_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        write_chunks(fifo, [b"through ", b"the pipe"])
+        reader.join(timeout=10)
+        assert received == [b"through the pipe"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "out.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            write_chunks(path, [b"x"])
+        assert info.value.filename == str(path)
+
+    def test_failed_pnm_keeps_old_image(self, tmp_path, monkeypatch):
+        path = tmp_path / "img.pbm"
+        path.write_bytes(b"old image")
+        monkeypatch.setattr(raster, "ascii_rows", lambda values, sep: failing_chunks())
+        with pytest.raises(RuntimeError):
+            raster.write_pnm(RasterImage(np.ones((2, 2), dtype=np.uint8), "bilevel"), path)
+        assert path.read_bytes() == b"old image"
+        assert os.listdir(tmp_path) == ["img.pbm"]
+
+
+def every_writer(tmp_path):
+    """(module, call) for each of the package's eight file writers."""
+    cells = zero_carry_set(2, 2)
+    estimate = dimension.estimate_dimension(cells)
+    notes = melody.cells_to_notes(cells)
+    report = overlay.analyze_overlay(2, 2)
+    image = raster.render_cellset(cells)
+    tab = build_table(2, 1)
+    path = tmp_path / "out"
+    return [
+        (raster, lambda: raster.write_pnm(image, path)),
+        (table, lambda: table.write_table_csv(tab, path)),
+        (table, lambda: table.write_cells_csv(cells, path)),
+        (melody, lambda: melody.write_midi(notes, 96, 120, path)),
+        (melody, lambda: melody.write_notes_csv(notes, path)),
+        (dimension, lambda: dimension.write_dimension_csv(estimate, path)),
+        (overlay, lambda: overlay.write_overlay_report(report, path)),
+        (overlay, lambda: overlay.write_overlay_scales_csv(report, path)),
+    ]
+
+
+def test_every_writer_is_atomic(tmp_path, monkeypatch):
+    for module, write in every_writer(tmp_path):
+        calls = []
+
+        def spy(path, chunks):
+            calls.append(path)
+            write_chunks(path, chunks)
+
+        monkeypatch.setattr(module, "write_chunks", spy)
+        write()
+        monkeypatch.undo()
+        assert calls == [tmp_path / "out"]
+        assert os.listdir(tmp_path) == ["out"]

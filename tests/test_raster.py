@@ -158,3 +158,29 @@ class TestRasterImage:
         image = render_cellset(zero_carry_set(2, 1))
         with pytest.raises(ValueError):
             image.pixels[0, 0] = 0
+
+
+class TestRasterImageValues:
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_bilevel_rejects_values_above_one(self, value):
+        with pytest.raises(ValueError):
+            RasterImage(np.array([[value]]), "bilevel")
+
+    @pytest.mark.parametrize("value", [256, 300, -1])
+    def test_gray_rejects_values_outside_maxval(self, value):
+        with pytest.raises(ValueError):
+            RasterImage(np.array([[0, value]]), "gray")
+
+    def test_bilevel_rejects_negative(self):
+        with pytest.raises(ValueError):
+            RasterImage(np.array([[1, -1]], dtype=np.int8), "bilevel")
+
+    @pytest.mark.parametrize("pixels", [np.array([[0.0, 1.0]]), np.array([[True, False]])])
+    def test_rejects_non_integer_dtype(self, pixels):
+        with pytest.raises(ValueError):
+            RasterImage(pixels, "bilevel")
+
+    def test_accepts_full_ranges(self):
+        assert RasterImage(np.array([[0, 1]], dtype=np.int64), "bilevel").width == 2
+        assert RasterImage(np.array([[0, 255]], dtype=np.uint16), "gray").width == 2
+        assert RasterImage(np.zeros((0, 3), dtype=np.uint8), "gray").height == 0
