@@ -16,35 +16,25 @@ from . import dimension, melody, overlay, radix, raster, table
 from .errors import CvtError, DegenerateSeriesError, InsufficientDataError
 
 
-def _int_at_least(minimum: int):
+def _int_arg(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo, and <= hi when hi is given."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        if value < lo or hi is not None and value > hi:
+            bound = f"an integer >= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return parse
 
 
-def _int_in_range(lo: int, hi: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
-        return value
-
-    return parse
-
-
-_base_arg = _int_at_least(2)
-_nonneg_arg = _int_at_least(0)
-_pos_arg = _int_at_least(1)
+_base_arg = _int_arg(2)
+_nonneg_arg = _int_arg(0)
+_pos_arg = _int_arg(1)
 
 
 def _cmd_cvt(args) -> int:
@@ -73,17 +63,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fractal(args) -> int:
-    if args.value is not None:
-        if args.depth < 1:
-            print("error: --value needs --depth >= 1", file=sys.stderr)
-            return 2
-        tab = table.build_table(args.base, args.depth, max_extent=args.max_extent)
-        cells = table.value_cells(tab, args.value)
-        label = f"carry value {args.value}"
-    else:
-        cells = table.zero_carry_set(args.base, args.depth, max_extent=args.max_extent)
-        label = "carry value 0"
-    print(f"pattern of {label} in base {args.base}, depth {args.depth}:"
+    if args.value is not None and args.depth < 1:
+        print("error: --value needs --depth >= 1", file=sys.stderr)
+        return 2
+    value = args.value or 0
+    cells = table.carry_value_set(args.base, args.depth, value, max_extent=args.max_extent)
+    print(f"pattern of carry value {value} in base {args.base}, depth {args.depth}:"
           f" {len(cells)} cells on a {cells.extent}x{cells.extent} grid")
     if args.pbm:
         raster.write_pnm(raster.render_cellset(cells, zoom=args.zoom), args.pbm)
@@ -217,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dimension", help="closed-form dimension, optional box-count estimate")
     p.add_argument("--base", type=_base_arg, required=True)
     p.add_argument("--estimate", action="store_true")
-    p.add_argument("--depth", type=_int_at_least(2))
+    p.add_argument("--depth", type=_int_arg(2))
     p.add_argument("--report", metavar="PATH")
     p.add_argument("--max-extent", type=_pos_arg, default=table.MAX_SPARSE_EXTENT)
     p.set_defaults(func=_cmd_dimension)
@@ -238,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_base_arg, required=True)
     p.add_argument("--depth", type=_nonneg_arg, required=True)
     p.add_argument("--scale", choices=sorted(melody.SCALES), default="major")
-    p.add_argument("--base-pitch", type=_int_in_range(0, 127), default=60)
+    p.add_argument("--base-pitch", type=_int_arg(0, 127), default=60)
     p.add_argument("--ticks", type=_pos_arg, default=120, help="ticks per grid cell")
     p.add_argument("--tempo", type=_pos_arg, default=120, help="beats per minute")
-    p.add_argument("--division", type=_int_in_range(24, 960), default=480,
+    p.add_argument("--division", type=_int_arg(24, 960), default=480,
                    help="MIDI ticks per quarter note")
-    p.add_argument("--velocity", type=_int_in_range(1, 127), default=100)
+    p.add_argument("--velocity", type=_int_arg(1, 127), default=100)
     p.add_argument("--midi", metavar="PATH", required=True)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--spectrum", action="store_true",
@@ -257,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selftest", action="store_true",
                    help="fit seeded white-noise and random-walk series instead")
     p.add_argument("--seed", type=_nonneg_arg, default=0)
-    p.add_argument("--length", type=_int_at_least(melody.MIN_SPECTRUM_LENGTH), default=4096)
+    p.add_argument("--length", type=_int_arg(melody.MIN_SPECTRUM_LENGTH), default=4096)
     p.set_defaults(func=_cmd_spectrum)
 
     return parser

@@ -117,12 +117,18 @@ def estimate_dimension(cells: CellSet) -> DimensionEstimate:
         raise InsufficientScalesError("box counts are constant across scales")
     x = np.log(cells.extent / np.asarray(scales, dtype=float))
     y = np.log(np.asarray(counts, dtype=float))
+    return DimensionEstimate(scales, counts, *_ols_fit(x, y))
+
+
+def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its R^2; a constant y is fitted exactly (R^2 = 1)."""
     x_mean, y_mean = x.mean(), y.mean()
-    ss_tot = float(((y - y_mean) ** 2).sum())
     slope = float(((x - x_mean) * (y - y_mean)).sum() / ((x - x_mean) ** 2).sum())
+    ss_tot = float(((y - y_mean) ** 2).sum())
+    if ss_tot == 0.0:
+        return slope, 1.0
     residual = y - (y_mean + slope * (x - x_mean))
-    fit_quality = 1.0 - float((residual**2).sum()) / ss_tot
-    return DimensionEstimate(scales, counts, slope, fit_quality)
+    return slope, 1.0 - float((residual**2).sum()) / ss_tot
 
 
 def write_dimension_csv(estimate: DimensionEstimate, path, extent: int | None = None) -> None:

@@ -10,6 +10,7 @@ as 1/f**beta: 0 for white noise, about 1 for pink, 2 for Brownian.
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +21,7 @@ from .errors import (
     EmptyInputError,
     InsufficientDataError,
 )
+from .dimension import _ols_fit
 from .output import write_chunks
 from .table import CellSet
 
@@ -153,16 +155,7 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
     usable = power > 0
     if int(usable.sum()) < 2:
         raise DegenerateSeriesError("fewer than 2 frequency bins carry power")
-    log_f = np.log(freqs[usable])
-    log_p = np.log(power[usable])
-    x_mean, y_mean = log_f.mean(), log_p.mean()
-    slope = float(((log_f - x_mean) * (log_p - y_mean)).sum() / ((log_f - x_mean) ** 2).sum())
-    ss_tot = float(((log_p - y_mean) ** 2).sum())
-    if ss_tot == 0.0:
-        fit_quality = 1.0  # perfectly flat spectrum, fitted exactly by slope 0
-    else:
-        residual = log_p - (y_mean + slope * (log_f - x_mean))
-        fit_quality = 1.0 - float((residual**2).sum()) / ss_tot
+    slope, fit_quality = _ols_fit(np.log(freqs[usable]), np.log(power[usable]))
     beta = 0.0 - slope  # avoids returning -0.0 for flat spectra
     return SpectralReport(n, beta, fit_quality, int(usable.sum()))
 
@@ -205,13 +198,8 @@ def write_midi(notes: Iterable[NoteEvent], ticks_per_quarter: int, tempo_bpm: in
         track += bytes((0x90 if is_on else 0x80, pitch, vel))
         clock = tick
     track += b"\x00\xff\x2f\x00"
-    header = (
-        b"MThd"
-        + (6).to_bytes(4, "big")
-        + (0).to_bytes(2, "big")
-        + (1).to_bytes(2, "big")
-        + ticks_per_quarter.to_bytes(2, "big")
-    )
+    # chunk length 6, format 0, one track, ticks per quarter note
+    header = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, ticks_per_quarter)
     write_chunks(path, [header, b"MTrk" + len(track).to_bytes(4, "big"), track])
 
 
@@ -219,8 +207,7 @@ def write_notes_csv(notes: Iterable[NoteEvent], path) -> None:
     """CSV with header onset,duration,pitch,velocity, rows sorted by (onset, pitch)."""
     ordered = sorted(notes, key=lambda n: (n.onset, n.pitch))
     lines = ["onset,duration,pitch,velocity"]
-    for n in ordered:
-        lines.append(f"{n.onset},{n.duration},{n.pitch},{n.velocity}")
+    lines += [f"{n.onset},{n.duration},{n.pitch},{n.velocity}" for n in ordered]
     write_chunks(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 

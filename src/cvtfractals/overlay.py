@@ -13,11 +13,13 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dimension import DimensionEstimate, estimate_dimension
 from .errors import InvalidPairError
 from .output import write_chunks
 from .radix import _check_base
-from .table import MAX_SPARSE_EXTENT, CellSet, _check_pattern_size, _substitute
+from .table import MAX_SPARSE_EXTENT, CellSet, _substitute
 
 # the increment this construction is conventionally assigned: 3 copies at
 # scale 1/2, the Sierpinski gasket value
@@ -62,22 +64,8 @@ def overflow_generator(small_base: int, large_base: int) -> CellSet:
     small_base = _check_base(small_base)
     large_base = operator.index(large_base)
     if large_base != small_base + 1:
-        raise InvalidPairError(
-            f"bases must be consecutive, got {small_base} and {large_base}"
-        )
-    large_gen = {
-        (x, y)
-        for x in range(large_base)
-        for y in range(large_base)
-        if x + y < large_base
-    }
-    small_gen = {
-        (x, y)
-        for x in range(small_base)
-        for y in range(small_base)
-        if x + y < small_base
-    }
-    return CellSet(large_base, 1, large_gen - small_gen)
+        raise InvalidPairError(f"bases must be consecutive, got {small_base} and {large_base}")
+    return CellSet(large_base, 1, [(x, small_base - x) for x in range(large_base)])
 
 
 def iterate_overflow_fractal(
@@ -93,9 +81,9 @@ def iterate_overflow_fractal(
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not len(gen):
         raise ValueError("generator must be nonempty")
-    modulus = gen.extent
-    _check_pattern_size(modulus**depth, len(gen) ** depth, max_extent)
-    return CellSet(modulus, depth, _substitute(gen.to_array(), modulus, depth))
+    # one read-only view of the generator per level, however deep
+    levels = np.broadcast_to(gen.to_array(), (depth, len(gen), 2))
+    return _substitute(levels, gen.extent, max_extent)
 
 
 def analyze_overlay(
@@ -133,6 +121,5 @@ def write_overlay_report(report: OverlayReport, path) -> None:
 def write_overlay_scales_csv(report: OverlayReport, path) -> None:
     """CSV of the measured (scale, count) pairs."""
     lines = ["scale,count"]
-    for scale, count in zip(report.measured.scales, report.measured.counts):
-        lines.append(f"{scale},{count}")
+    lines += [f"{s},{c}" for s, c in zip(report.measured.scales, report.measured.counts)]
     write_chunks(path, [("\n".join(lines) + "\n").encode("ascii")])

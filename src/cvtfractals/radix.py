@@ -96,6 +96,18 @@ def from_digits(digits: Sequence[int], base: int) -> int:
     return value
 
 
+def _digit_sums(a: int, b: int, base: int):
+    """Yield (place, a_i + b_i) for each digit position i of the longer operand."""
+    a = _check_value("a", a)
+    b = _check_value("b", b)
+    place = 1
+    while a or b:
+        a, da = divmod(a, base)
+        b, db = divmod(b, base)
+        yield place, da + db
+        place *= base
+
+
 def cvt(a: int, b: int, base: int) -> int:
     """Carry value of a + b in the given base.
 
@@ -105,29 +117,11 @@ def cvt(a: int, b: int, base: int) -> int:
     the least significant digit of the result is always 0.
     """
     base = _check_base(base)
-    a = _check_value("a", a)
-    b = _check_value("b", b)
-    carry = 0
-    place = base  # carries land one position above the digits producing them
-    while a or b:
-        a, da = divmod(a, base)
-        b, db = divmod(b, base)
-        if da + db >= base:
-            carry += place
-        place *= base
-    return carry
+    # carries land one position above the digits producing them
+    return sum(place * base for place, total in _digit_sums(a, b, base) if total >= base)
 
 
 def sum_without_carry(a: int, b: int, base: int) -> int:
     """Digit-wise (a_i + b_i) mod base, the carry-free part of the addition."""
     base = _check_base(base)
-    a = _check_value("a", a)
-    b = _check_value("b", b)
-    total = 0
-    place = 1
-    while a or b:
-        a, da = divmod(a, base)
-        b, db = divmod(b, base)
-        total += ((da + db) % base) * place
-        place *= base
-    return total
+    return sum(place * (total % base) for place, total in _digit_sums(a, b, base))

@@ -71,16 +71,14 @@ def render_cellset(cells: CellSet, zoom: int = 1, max_side: int = MAX_SIDE) -> R
 def render_table(table: CvTable, zoom: int = 1, max_side: int = MAX_SIDE) -> RasterImage:
     """Gray image of a table, intensities normalized to the maximum carry value.
 
-    Intensity is 255 * value / max, rounded half up; an all-zero table renders
-    all black.
+    Intensity is 255 * value / max, rounded half up in exact integer
+    arithmetic; an all-zero table renders all black.
     """
     zoom = _check_zoom(table.extent, zoom, max_side)
-    max_value = int(table.values.max())
-    if max_value == 0:
-        pixels = np.zeros((table.extent, table.extent), dtype=np.uint8)
-    else:
-        pixels = np.floor(table.values * 255.0 / max_value + 0.5).astype(np.uint8)
-    return RasterImage(_zoomed(pixels, zoom), GRAY)
+    max_value = max(int(table.values.max()), 1)
+    # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max)
+    gray = (table.values * 510 + max_value) // (2 * max_value)
+    return RasterImage(_zoomed(gray.astype(np.uint8), zoom), GRAY)
 
 
 def _pnm_chunks(image: RasterImage):

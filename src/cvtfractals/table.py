@@ -1,14 +1,17 @@
 """Carry-value tables over [0, n^k)^2 and sparse carry-value patterns.
 
 A CvTable holds cvt(a, b, base) for every pair below n^k; a CellSet is the
-sparse set of grid cells sharing one carry value. The zero-carry set is the
-canonical fractal: its depth-1 generator is the triangle x + y < n, and each
-deeper level substitutes that generator into every retained cell.
+sparse set of grid cells sharing one carry value. Every such pattern is a
+substitution fractal: each digit level substitutes the triangle x + y < n or
+x + y >= n into every retained cell. The zero-carry set, the canonical
+fractal, uses x + y < n at every level. The dense table is kept for the
+`table` subcommand and as the reference the patterns are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -167,38 +170,74 @@ def value_cells(table: CvTable, v: int) -> CellSet:
     return CellSet(table.base, table.digits_k, np.argwhere(table.values == v))
 
 
-def _substitute(generator: np.ndarray, modulus: int, depth: int) -> np.ndarray:
-    """Replace every retained cell by a scaled copy of the generator, depth times."""
+def _substitute(generators, modulus: int, max_extent: int) -> CellSet:
+    """Place generators[i], an (m, 2) array below modulus, in every cell kept by levels < i.
+
+    Extent and cell count are checked against their limits before any allocation.
+    """
+    depth = len(generators)
+    # the depth test spares computing modulus**depth for absurd depths
+    if depth >= max_extent.bit_length() or modulus**depth > max_extent:
+        raise SizeLimitError(f"pattern extent {modulus}**{depth} exceeds limit {max_extent}")
+    count = math.prod(len(g) for g in generators)
+    if count > MAX_CELLS:
+        raise SizeLimitError(f"pattern of {count} cells exceeds limit {MAX_CELLS}")
     cells = np.zeros((1, 2), dtype=np.int64)
-    for _ in range(depth):
+    for generator in generators:
         cells = (cells[:, None, :] * modulus + generator[None, :, :]).reshape(-1, 2)
-    return cells
+    return CellSet(modulus, depth, cells)
 
 
-def _check_pattern_size(extent: int, predicted_cells: int, max_extent: int) -> None:
-    if extent > max_extent:
-        raise SizeLimitError(f"pattern extent {extent} exceeds limit {max_extent}")
-    if predicted_cells > MAX_CELLS:
-        raise SizeLimitError(f"pattern would hold {predicted_cells} cells, limit {MAX_CELLS}")
+def _carry_triangle(base: int, carry: int) -> np.ndarray:
+    """Digit pairs carrying 0 (x + y < base: i, j - i for i <= j < base) or 1 (its mirror).
+
+    A triangle above MAX_CELLS is refused unbuilt: any pattern using it is larger.
+    """
+    if carry:
+        return base - 1 - _carry_triangle(base - 1, 0)
+    if (size := base * (base + 1) // 2) > MAX_CELLS:
+        raise SizeLimitError(f"pattern of at least {size} cells exceeds limit {MAX_CELLS}")
+    rows, cols = np.triu_indices(base)
+    return np.stack((rows, cols - rows), axis=1)
 
 
-def zero_carry_set(base: int, depth: int, max_extent: int = MAX_SPARSE_EXTENT) -> CellSet:
-    """Cells with carry value 0 over [0, base**depth)^2, built by substitution.
+def carry_value_set(base: int, depth: int, value: int = 0,
+                    max_extent: int = MAX_SPARSE_EXTENT) -> CellSet:
+    """Cells of [0, base**depth)^2 with carry value `value`, built by substitution.
 
-    The depth-1 generator is the triangle {(x, y): x + y < base}; a cell
-    survives at depth k exactly when every one of its digit pairs stays below
-    the base, so the set has (base*(base+1)/2)**depth cells.
+    Digit j of value // base is the carry out of digit position j, and no carry
+    propagates, so each level takes the triangle x + y < base for a 0 digit and
+    x + y >= base for a 1 digit. The pattern is empty unless base divides value
+    and value // base has at most depth digits, all 0 or 1; with p of them 1 it
+    has (base*(base+1)/2)**(depth-p) * (base*(base-1)/2)**p cells.
     """
     base = _check_base(base)
     depth = operator.index(depth)
+    value = operator.index(value)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    _check_pattern_size(base**depth, (base * (base + 1) // 2) ** depth, max_extent)
-    generator = np.array(
-        [(x, y) for x in range(base) for y in range(base) if x + y < base],
-        dtype=np.int64,
-    )
-    return CellSet(base, depth, _substitute(generator, base, depth))
+    if value and not depth:
+        raise ValueError(f"carry value {value} needs depth >= 1")
+    carries, rest = divmod(value, base)
+    digits = []
+    # a pattern deeper than max_extent.bit_length() is refused in any base
+    for _ in range(min(depth, max_extent.bit_length())):
+        carries, digit = divmod(carries, base)
+        digits.append(digit)
+    # with empty levels _substitute refuses an oversized extent before any
+    # triangle is built, or else returns no cells, since none holds the value
+    oversized = len(digits) < depth or base**depth > max_extent
+    if oversized or rest or carries or max(digits, default=0) > 1:
+        generators = np.broadcast_to(np.empty((0, 2), dtype=np.int64), (depth, 0, 2))
+    else:
+        triangles = {d: _carry_triangle(base, d) for d in set(digits)}
+        generators = [triangles[d] for d in reversed(digits)]
+    return _substitute(generators, base, max_extent)
+
+
+def zero_carry_set(base: int, depth: int, max_extent: int = MAX_SPARSE_EXTENT) -> CellSet:
+    """Cells with carry value 0 over [0, base**depth)^2: (base*(base+1)/2)**depth cells."""
+    return carry_value_set(base, depth, 0, max_extent)
 
 
 def write_table_csv(table: CvTable, path) -> None:

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from cvtfractals.cli import run
 from helpers import parse_pnm, parse_smf
 
@@ -191,3 +198,25 @@ def test_negative_operand_rejected(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+def test_value_pattern_over_the_cell_limit_is_refused_cleanly():
+    # a dense carry-value table on this 2**20 grid would need 8 TiB; under a 1 GiB
+    # address-space limit any attempt to build it fails fast instead of paging
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvtfractals", "fractal", "--base", "2", "--depth", "20",
+         "--value", "2"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "exceeds limit" in lines[0]

@@ -184,3 +184,14 @@ class TestRasterImageValues:
         assert RasterImage(np.array([[0, 1]], dtype=np.int64), "bilevel").width == 2
         assert RasterImage(np.array([[0, 255]], dtype=np.uint16), "gray").width == 2
         assert RasterImage(np.zeros((0, 3), dtype=np.uint8), "gray").height == 0
+
+
+class TestRenderTableRounding:
+    @pytest.mark.parametrize("base", range(2, 17))
+    def test_equals_float_round_half_up(self, base):
+        digits = 1
+        while base**digits <= 256:
+            table = build_table(base, digits)
+            expected = np.floor(table.values * 255.0 / table.values.max() + 0.5).astype(np.uint8)
+            assert np.array_equal(render_table(table).pixels, expected)
+            digits += 1
