@@ -50,7 +50,7 @@ def _cmd_cvt(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    tab = table.build_table(args.base, args.digits, max_extent=args.max_extent)
+    tab = table.build_table(args.base, args.digits)
     print(f"CV table base {args.base}, {args.digits} digit(s):"
           f" extent {tab.extent}, max carry value {int(tab.values.max())}")
     if args.csv:
@@ -67,7 +67,7 @@ def _cmd_fractal(args) -> int:
         print("error: --value needs --depth >= 1", file=sys.stderr)
         return 2
     value = args.value or 0
-    cells = table.carry_value_set(args.base, args.depth, value, max_extent=args.max_extent)
+    cells = table.carry_value_set(args.base, args.depth, value)
     print(f"pattern of carry value {value} in base {args.base}, depth {args.depth}:"
           f" {len(cells)} cells on a {cells.extent}x{cells.extent} grid")
     if args.pbm:
@@ -90,12 +90,12 @@ def _cmd_dimension(args) -> int:
         if args.depth is None:
             print("error: --estimate requires --depth", file=sys.stderr)
             return 2
-        cells = table.zero_carry_set(args.base, args.depth, max_extent=args.max_extent)
+        cells = table.zero_carry_set(args.base, args.depth)
         est = dimension.estimate_dimension(cells)
         print(f"box-count estimate (depth {args.depth}) = {est.slope:.6f}"
               f" (fit quality {est.fit_quality:.6f})")
         if args.report:
-            dimension.write_dimension_csv(est, args.report, extent=cells.extent)
+            dimension.write_dimension_csv(est, args.report)
             print(f"wrote {args.report}")
     return 0
 
@@ -109,7 +109,7 @@ def _cmd_target_base(args) -> int:
 
 
 def _cmd_overlay(args) -> int:
-    report = overlay.analyze_overlay(args.small, args.depth, max_extent=args.max_extent)
+    report = overlay.analyze_overlay(args.small, args.depth)
     print(report.to_text())
     if args.report:
         overlay.write_overlay_report(report, args.report)
@@ -121,7 +121,7 @@ def _cmd_overlay(args) -> int:
 
 
 def _cmd_music(args) -> int:
-    cells = table.zero_carry_set(args.base, args.depth, max_extent=args.max_extent)
+    cells = table.zero_carry_set(args.base, args.depth)
     notes = melody.cells_to_notes(
         cells,
         scale=args.scale,
@@ -186,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--pgm", metavar="PATH")
     p.add_argument("--zoom", type=_pos_arg, default=1)
-    p.add_argument("--max-extent", type=_pos_arg, default=table.MAX_TABLE_EXTENT)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("fractal", help="extract a carry-value pattern")
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pbm", metavar="PATH")
     p.add_argument("--cells", metavar="PATH")
     p.add_argument("--zoom", type=_pos_arg, default=1)
-    p.add_argument("--max-extent", type=_pos_arg, default=table.MAX_SPARSE_EXTENT)
     p.set_defaults(func=_cmd_fractal)
 
     p = sub.add_parser("dimension", help="closed-form dimension, optional box-count estimate")
@@ -204,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", action="store_true")
     p.add_argument("--depth", type=_int_arg(2))
     p.add_argument("--report", metavar="PATH")
-    p.add_argument("--max-extent", type=_pos_arg, default=table.MAX_SPARSE_EXTENT)
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser("target-base", help="base whose dimension is nearest a target")
@@ -216,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_pos_arg, required=True)
     p.add_argument("--report", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--max-extent", type=_pos_arg, default=table.MAX_SPARSE_EXTENT)
     p.set_defaults(func=_cmd_overlay)
 
     p = sub.add_parser("music", help="render a zero-carry pattern as a MIDI melody")
@@ -233,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--spectrum", action="store_true",
                    help="also fit the pitch series' spectral exponent")
-    p.add_argument("--max-extent", type=_pos_arg, default=table.MAX_SPARSE_EXTENT)
     p.set_defaults(func=_cmd_music)
 
     p = sub.add_parser("spectrum", help="spectral exponent of a series")

@@ -56,20 +56,20 @@ def dimension_gap(base: int) -> float:
     return math.log(2 * base / (base + 1)) / math.log(base)
 
 
-def base_for_target_dimension(target: float, search_cap: int = SEARCH_CAP) -> tuple[int, float]:
+def base_for_target_dimension(target: float) -> tuple[int, float]:
     """Base whose dimension is nearest the target, ties broken toward smaller.
 
     The dimension is strictly increasing in the base, so a binary search over
-    [2, search_cap] suffices. Targets above the cap's dimension return the cap
+    [2, SEARCH_CAP] suffices. Targets above the cap's dimension return the cap
     itself as a best effort.
     """
     target = float(target)
     lower = similarity_dimension(2)
     if not lower <= target < 2.0:
         raise DimensionRangeError(f"target must lie in [{lower:.6f}, 2), got {target}")
-    if similarity_dimension(search_cap) < target:
-        return search_cap, similarity_dimension(search_cap)
-    lo, hi = 2, search_cap
+    if similarity_dimension(SEARCH_CAP) < target:
+        return SEARCH_CAP, similarity_dimension(SEARCH_CAP)
+    lo, hi = 2, SEARCH_CAP
     while lo < hi:
         mid = (lo + hi) // 2
         if similarity_dimension(mid) >= target:
@@ -131,16 +131,13 @@ def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, 1.0 - float((residual**2).sum()) / ss_tot
 
 
-def write_dimension_csv(estimate: DimensionEstimate, path, extent: int | None = None) -> None:
+def write_dimension_csv(estimate: DimensionEstimate, path) -> None:
     """CSV of scale, count, log-scale, log-count rows plus slope/fit footers.
 
-    The log_scale column holds the fit's abscissa log(extent / scale); when
-    the extent is not supplied it is taken as the largest scale times the
-    scale ratio, i.e. the full grid width of the originating cell set.
+    The log_scale column holds the fit's abscissa log(extent / scale), where
+    the extent base**depth is the largest scale base**(depth-1) times the base.
     """
-    if extent is None:
-        ratio = estimate.scales[1] // estimate.scales[0] if len(estimate.scales) > 1 else 1
-        extent = estimate.scales[-1] * ratio
+    extent = estimate.scales[-1] * (estimate.scales[1] // estimate.scales[0])
     lines = ["scale,count,log_scale,log_count"]
     for scale, count in zip(estimate.scales, estimate.counts):
         lines.append(f"{scale},{count},{math.log(extent / scale):.6f},{math.log(count):.6f}")

@@ -19,7 +19,7 @@ from .dimension import DimensionEstimate, estimate_dimension
 from .errors import InvalidPairError
 from .output import write_chunks
 from .radix import _check_base
-from .table import MAX_SPARSE_EXTENT, CellSet, _substitute
+from .table import CellSet, _substitute
 
 # the increment this construction is conventionally assigned: 3 copies at
 # scale 1/2, the Sierpinski gasket value
@@ -68,9 +68,7 @@ def overflow_generator(small_base: int, large_base: int) -> CellSet:
     return CellSet(large_base, 1, [(x, small_base - x) for x in range(large_base)])
 
 
-def iterate_overflow_fractal(
-    gen: CellSet, depth: int, max_extent: int = MAX_SPARSE_EXTENT
-) -> CellSet:
+def iterate_overflow_fractal(gen: CellSet, depth: int) -> CellSet:
     """Substitute the generator into every retained cell, depth levels deep.
 
     Depth 1 reproduces the generator; depth d yields len(gen)**d cells on a
@@ -83,19 +81,17 @@ def iterate_overflow_fractal(
         raise ValueError("generator must be nonempty")
     # one read-only view of the generator per level, however deep
     levels = np.broadcast_to(gen.to_array(), (depth, len(gen), 2))
-    return _substitute(levels, gen.extent, max_extent)
+    return _substitute(levels, gen.extent)
 
 
-def analyze_overlay(
-    small_base: int, depth: int, max_extent: int = MAX_SPARSE_EXTENT
-) -> OverlayReport:
+def analyze_overlay(small_base: int, depth: int) -> OverlayReport:
     """Build the overflow generator, iterate it, and measure its dimension.
 
     The report always carries both the measured box-count slope and the
     claimed constant increment; neither value is substituted for the other.
     """
     gen = overflow_generator(small_base, small_base + 1)
-    iterated = iterate_overflow_fractal(gen, depth, max_extent)
+    iterated = iterate_overflow_fractal(gen, depth)
     measured = estimate_dimension(iterated)
     copies = len(gen)
     commentary = (

@@ -12,7 +12,6 @@ All operations are pure and exact for arbitrarily large operands.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidBaseError
@@ -38,39 +37,10 @@ def _check_value(name: str, value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RadixNumber:
-    """A non-negative integer as a digit vector, least significant digit first.
+def to_digits(value: int, base: int, min_width: int = 0) -> tuple[int, ...]:
+    """Digits of a non-negative integer in base `base`, least significant first.
 
-    An empty digit sequence denotes zero; every digit lies in [0, base).
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        digits = tuple(operator.index(d) for d in self.digits)
-        for d in digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
-        object.__setattr__(self, "digits", digits)
-
-    @property
-    def width(self) -> int:
-        return len(self.digits)
-
-    def to_int(self) -> int:
-        return from_digits(self.digits, self.base)
-
-    def __int__(self) -> int:
-        return self.to_int()
-
-
-def to_digits(value: int, base: int, min_width: int = 0) -> RadixNumber:
-    """Convert a non-negative integer to its base-`base` digit vector.
-
-    The result is zero padded to at least `min_width` digits.
+    Zero has no digits; the result is zero padded to at least `min_width` digits.
     """
     base = _check_base(base)
     value = _check_value("value", value)
@@ -81,7 +51,7 @@ def to_digits(value: int, base: int, min_width: int = 0) -> RadixNumber:
         digits.append(d)
     while len(digits) < min_width:
         digits.append(0)
-    return RadixNumber(base, tuple(digits))
+    return tuple(digits)
 
 
 def from_digits(digits: Sequence[int], base: int) -> int:

@@ -45,12 +45,12 @@ class RasterImage:
         return self.pixels.shape[1]
 
 
-def _check_zoom(extent: int, zoom: int, max_side: int) -> int:
+def _check_zoom(extent: int, zoom: int) -> int:
     zoom = operator.index(zoom)
     if zoom < 1:
         raise ValueError(f"zoom must be >= 1, got {zoom}")
-    if extent * zoom > max_side:
-        raise SizeLimitError(f"image side {extent * zoom} exceeds limit {max_side}")
+    if extent * zoom > MAX_SIDE:
+        raise SizeLimitError(f"image side {extent * zoom} exceeds limit {MAX_SIDE}")
     return zoom
 
 
@@ -60,21 +60,21 @@ def _zoomed(pixels: np.ndarray, zoom: int) -> np.ndarray:
     return np.kron(pixels, np.ones((zoom, zoom), dtype=np.uint8))
 
 
-def render_cellset(cells: CellSet, zoom: int = 1, max_side: int = MAX_SIDE) -> RasterImage:
+def render_cellset(cells: CellSet, zoom: int = 1) -> RasterImage:
     """Bilevel image of a pattern: one zoom x zoom block of 1s per cell."""
-    zoom = _check_zoom(cells.extent, zoom, max_side)
+    zoom = _check_zoom(cells.extent, zoom)
     pixels = np.zeros((cells.extent, cells.extent), dtype=np.uint8)
     pixels.reshape(-1)[cells.keys] = 1  # a key is the cell's row-major pixel index
     return RasterImage(_zoomed(pixels, zoom), BILEVEL)
 
 
-def render_table(table: CvTable, zoom: int = 1, max_side: int = MAX_SIDE) -> RasterImage:
+def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     """Gray image of a table, intensities normalized to the maximum carry value.
 
     Intensity is 255 * value / max, rounded half up in exact integer
     arithmetic; an all-zero table renders all black.
     """
-    zoom = _check_zoom(table.extent, zoom, max_side)
+    zoom = _check_zoom(table.extent, zoom)
     max_value = max(int(table.values.max()), 1)
     # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max)
     gray = (table.values * 510 + max_value) // (2 * max_value)

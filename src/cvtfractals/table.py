@@ -69,9 +69,7 @@ class CellSet:
         depth = operator.index(depth)
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        # the depth test spares computing base**depth for absurd depths
-        if depth >= MAX_KEY_EXTENT.bit_length() or base**depth > MAX_KEY_EXTENT:
-            raise SizeLimitError(f"grid extent {base}**{depth} exceeds limit {MAX_KEY_EXTENT}")
+        _check_extent(base, depth, MAX_KEY_EXTENT, "grid")
         extent = base**depth
         if isinstance(cells, np.ndarray) and cells.size:
             if cells.ndim != 2 or cells.shape[1] != 2:
@@ -128,6 +126,15 @@ class CellSet:
         return np.stack(np.divmod(self.keys, self.extent), axis=1)
 
 
+def _check_extent(base: int, depth: int, limit: int, what: str) -> None:
+    """Refuse a base**depth grid wider than limit, naming the grid `what`.
+
+    The depth test comes first, so base**depth is never computed for absurd depths.
+    """
+    if depth >= limit.bit_length() or base**depth > limit:
+        raise SizeLimitError(f"{what} extent {base}**{depth} exceeds limit {limit}")
+
+
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
     """Sort a fresh int64 array in place and drop repeats, without np.unique.
 
@@ -143,15 +150,14 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
     return keys if keep.all() else keys[keep]
 
 
-def build_table(base: int, digits_k: int, max_extent: int = MAX_TABLE_EXTENT) -> CvTable:
+def build_table(base: int, digits_k: int) -> CvTable:
     """Populate the full carry-value table for operands below base**digits_k."""
     base = _check_base(base)
     digits_k = operator.index(digits_k)
     if digits_k < 1:
         raise ValueError(f"digits_k must be >= 1, got {digits_k}")
+    _check_extent(base, digits_k, MAX_TABLE_EXTENT, "table")
     extent = base**digits_k
-    if extent > max_extent:
-        raise SizeLimitError(f"table extent {extent} exceeds limit {max_extent}")
     values = np.zeros((extent, extent), dtype=np.int64)
     quotients = np.arange(extent, dtype=np.int64)
     place = base
@@ -170,15 +176,13 @@ def value_cells(table: CvTable, v: int) -> CellSet:
     return CellSet(table.base, table.digits_k, np.argwhere(table.values == v))
 
 
-def _substitute(generators, modulus: int, max_extent: int) -> CellSet:
+def _substitute(generators, modulus: int) -> CellSet:
     """Place generators[i], an (m, 2) array below modulus, in every cell kept by levels < i.
 
     Extent and cell count are checked against their limits before any allocation.
     """
     depth = len(generators)
-    # the depth test spares computing modulus**depth for absurd depths
-    if depth >= max_extent.bit_length() or modulus**depth > max_extent:
-        raise SizeLimitError(f"pattern extent {modulus}**{depth} exceeds limit {max_extent}")
+    _check_extent(modulus, depth, MAX_SPARSE_EXTENT, "pattern")
     count = math.prod(len(g) for g in generators)
     if count > MAX_CELLS:
         raise SizeLimitError(f"pattern of {count} cells exceeds limit {MAX_CELLS}")
@@ -201,8 +205,7 @@ def _carry_triangle(base: int, carry: int) -> np.ndarray:
     return np.stack((rows, cols - rows), axis=1)
 
 
-def carry_value_set(base: int, depth: int, value: int = 0,
-                    max_extent: int = MAX_SPARSE_EXTENT) -> CellSet:
+def carry_value_set(base: int, depth: int, value: int = 0) -> CellSet:
     """Cells of [0, base**depth)^2 with carry value `value`, built by substitution.
 
     Digit j of value // base is the carry out of digit position j, and no carry
@@ -218,26 +221,21 @@ def carry_value_set(base: int, depth: int, value: int = 0,
         raise ValueError(f"depth must be >= 0, got {depth}")
     if value and not depth:
         raise ValueError(f"carry value {value} needs depth >= 1")
+    _check_extent(base, depth, MAX_SPARSE_EXTENT, "pattern")
     carries, rest = divmod(value, base)
     digits = []
-    # a pattern deeper than max_extent.bit_length() is refused in any base
-    for _ in range(min(depth, max_extent.bit_length())):
+    for _ in range(depth):
         carries, digit = divmod(carries, base)
         digits.append(digit)
-    # with empty levels _substitute refuses an oversized extent before any
-    # triangle is built, or else returns no cells, since none holds the value
-    oversized = len(digits) < depth or base**depth > max_extent
-    if oversized or rest or carries or max(digits, default=0) > 1:
-        generators = np.broadcast_to(np.empty((0, 2), dtype=np.int64), (depth, 0, 2))
-    else:
-        triangles = {d: _carry_triangle(base, d) for d in set(digits)}
-        generators = [triangles[d] for d in reversed(digits)]
-    return _substitute(generators, base, max_extent)
+    if rest or carries or max(digits, default=0) > 1:
+        return CellSet(base, depth, ())
+    triangles = {d: _carry_triangle(base, d) for d in set(digits)}
+    return _substitute([triangles[d] for d in reversed(digits)], base)
 
 
-def zero_carry_set(base: int, depth: int, max_extent: int = MAX_SPARSE_EXTENT) -> CellSet:
+def zero_carry_set(base: int, depth: int) -> CellSet:
     """Cells with carry value 0 over [0, base**depth)^2: (base*(base+1)/2)**depth cells."""
-    return carry_value_set(base, depth, 0, max_extent)
+    return carry_value_set(base, depth)
 
 
 def write_table_csv(table: CvTable, path) -> None:

@@ -192,6 +192,34 @@ def test_runtime_errors_exit_one(capsys, tmp_path):
     assert run(["spectrum", "--in", str(tmp_path / "missing.csv")]) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["table", "--base", "2", "--digits", "100000"],
+     "error: table extent 2**100000 exceeds limit 4096"),
+    (["fractal", "--base", "2", "--depth", "1000000000", "--value", "2"],
+     "error: pattern extent 2**1000000000 exceeds limit 1048576"),
+    (["overlay", "--small", "2", "--depth", "13"],
+     "error: pattern extent 3**13 exceeds limit 1048576"),
+], ids=["table", "fractal", "overlay"])
+def test_oversized_requests_name_the_limit(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--base", "2", "--digits", "1"],
+    ["fractal", "--base", "2", "--depth", "1"],
+    ["dimension", "--base", "2", "--estimate", "--depth", "2"],
+    ["overlay", "--small", "2", "--depth", "2"],
+    ["music", "--base", "2", "--depth", "1", "--midi", "{tmp}/x.mid"],
+], ids=lambda argv: argv[0])
+def test_size_limits_are_not_flags(capsys, tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run([*argv, "--max-extent", "4"]) == 2
+    assert "unrecognized arguments: --max-extent" in capsys.readouterr().err
+
+
 def test_negative_operand_rejected(capsys):
     assert run(["cvt", "--base", "2", "--", "-3", "4"]) == 2
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvtfractals import (
+    SEARCH_CAP,
     CellSet,
     DimensionRangeError,
     EmptyInputError,
@@ -114,9 +115,7 @@ class TestBaseForTarget:
             assert base == expected
 
     def test_capped_search(self):
-        base, achieved = base_for_target_dimension(1.99, search_cap=100)
-        assert base == 100
-        assert achieved == similarity_dimension(100)
+        assert base_for_target_dimension(1.99) == (SEARCH_CAP, similarity_dimension(SEARCH_CAP))
 
 
 class TestBoxCount:
@@ -224,7 +223,7 @@ class TestDimensionCsv:
     def test_report_layout(self, tmp_path):
         est = estimate_dimension(zero_carry_set(2, 3))
         path = tmp_path / "report.csv"
-        write_dimension_csv(est, path, extent=8)
+        write_dimension_csv(est, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "scale,count,log_scale,log_count"
         assert lines[1].startswith("1,27,")
@@ -233,8 +232,8 @@ class TestDimensionCsv:
 
     def test_extent_inferred(self, tmp_path):
         est = estimate_dimension(zero_carry_set(2, 3))
-        explicit = tmp_path / "a.csv"
-        inferred = tmp_path / "b.csv"
-        write_dimension_csv(est, explicit, extent=8)
-        write_dimension_csv(est, inferred)
-        assert explicit.read_bytes() == inferred.read_bytes()
+        path = tmp_path / "report.csv"
+        write_dimension_csv(est, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:-2]]
+        assert [int(r[0]) for r in rows] == [1, 2, 4]
+        assert [r[2] for r in rows] == [f"{math.log(8 / s):.6f}" for s in (1, 2, 4)]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvtfractals import (
+    CellSet,
     SizeLimitError,
     build_table,
     carry_value_set,
@@ -77,7 +78,7 @@ def test_every_table_value_and_unattainable_values(base, depth):
 @pytest.mark.parametrize("base,depth", [(2, 6), (3, 4), (4, 3), (5, 3), (6, 2), (9, 2)])
 def test_count_law_for_every_attainable_value(base, depth):
     for value in _table_values(base, depth):
-        ones = sum(d == 1 for d in to_digits(value // base, base).digits)
+        ones = sum(d == 1 for d in to_digits(value // base, base))
         law = (base * (base + 1) // 2) ** (depth - ones) * (base * (base - 1) // 2) ** ones
         assert len(carry_value_set(base, depth, value)) == law
 
@@ -101,10 +102,10 @@ def test_depth_zero_holds_only_value_zero():
 
 def test_extent_limit_checked_for_empty_patterns_too():
     with pytest.raises(SizeLimitError, match="exceeds limit"):
-        carry_value_set(2, 12, 4096, max_extent=2048)
+        carry_value_set(2, 21, 2**21)
     with pytest.raises(SizeLimitError, match="exceeds limit"):
-        carry_value_set(2, 12, 3, max_extent=2048)  # odd: no cell holds it
-    assert len(carry_value_set(2, 11, 3, max_extent=2048)) == 0
+        carry_value_set(2, 21, 3)  # odd: no cell holds it
+    assert len(carry_value_set(2, 20, 3)) == 0
 
 
 def test_cell_limit_refuses_before_allocating():
@@ -134,8 +135,10 @@ def test_overflow_fractal_limits():
     assert len(iterate_overflow_fractal(gen, 3)) == 27
     with pytest.raises(SizeLimitError, match="exceeds limit"):
         iterate_overflow_fractal(gen, 13)  # 3**13 > 2**20
-    with pytest.raises(SizeLimitError, match="exceeds limit"):
-        iterate_overflow_fractal(overflow_generator(8, 9), 8, max_extent=2**40)  # 9**8 > 2**24
+    # a full 4x4 generator at depth 10: extent 2**20 is admitted, 2**40 cells are not
+    full = CellSet(4, 1, [(r, c) for r in range(4) for c in range(4)])
+    with pytest.raises(SizeLimitError, match="cells exceeds limit"):
+        iterate_overflow_fractal(full, 10)
 
 
 @pytest.mark.parametrize("depth", [10**6, 10**9])
