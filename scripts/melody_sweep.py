@@ -65,10 +65,9 @@ def main(argv=None) -> int:
         )
         midi = cfg.outdir / f"melody_base{base}_depth{depth}.mid"
         write_midi(notes, ticks_per_quarter=480, tempo_bpm=cfg.tempo_bpm, path=midi)
-        all_pitches = [float(n.pitch) for n in notes]
         print(
             f"{base:>4} {depth:>5} {similarity_dimension(base):>10.6f}"
-            f" {len(notes):>6} {_beta(all_pitches)} {_beta(pitch_series(notes))}"
+            f" {len(notes):>6} {_beta(notes.pitch)} {_beta(pitch_series(notes))}"
         )
     return 0
 

@@ -130,6 +130,10 @@ def _cmd_music(args) -> int:
         velocity=args.velocity,
     )
     print(f"zero-carry pattern base {args.base} depth {args.depth}: {len(notes)} notes")
+    if notes.clamped_low or notes.clamped_high:
+        print(f"note: clamped {notes.clamped_low + notes.clamped_high} of {len(notes)} pitches"
+              f" to the MIDI range ({notes.clamped_low} below 0, {notes.clamped_high} above 127)",
+              file=sys.stderr)
     melody.write_midi(notes, ticks_per_quarter=args.division, tempo_bpm=args.tempo, path=args.midi)
     print(f"wrote {args.midi}")
     if args.csv:

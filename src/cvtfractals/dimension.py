@@ -40,6 +40,16 @@ class DimensionEstimate:
     slope: float
     fit_quality: float
 
+    def __post_init__(self) -> None:
+        scales = self.scales
+        if len(scales) < 2:
+            raise InsufficientScalesError(f"need at least 2 scales, have {len(scales)}")
+        if len(self.counts) != len(scales):
+            raise ValueError(f"{len(scales)} scales but {len(self.counts)} counts")
+        ratio = scales[1] // scales[0] if scales[0] >= 1 else 0
+        if ratio < 2 or any(b != a * ratio for a, b in zip(scales, scales[1:])):
+            raise ValueError(f"scales {scales} are not a geometric series of integer ratio >= 2")
+
 
 def similarity_dimension(base: int) -> float:
     """Closed-form dimension log(n(n+1)/2) / log(n) of the base-n fractal."""

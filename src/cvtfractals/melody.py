@@ -12,7 +12,8 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .dimension import _ols_fit
-from .output import write_chunks
+from .output import ascii_rows, write_chunks
 from .table import CellSet
 
 SCALES: dict[str, tuple[int, ...]] = {
@@ -34,26 +35,69 @@ SCALES: dict[str, tuple[int, ...]] = {
 
 _NOTE_OFF_VELOCITY = 64
 MIN_SPECTRUM_LENGTH = 32
+# the largest delta time a Standard MIDI File can encode: four VLQ bytes of 7 bits
+MAX_DELTA = 2**28 - 1
+# the range of each Notes column; onsets and durations stay below 2**62, so
+# every note end fits an int64
+_COLUMN_BOUNDS = {
+    "onset": (0, 2**62 - 1),
+    "duration": (1, 2**62 - 1),
+    "pitch": (0, 127),
+    "velocity": (1, 127),
+}
+# delta times that take one more VLQ byte each
+_VLQ_STEPS = np.array([2**7, 2**14, 2**21])
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One note: onset and duration in ticks, MIDI pitch, MIDI velocity."""
+@dataclass(frozen=True, eq=False)
+class Notes:
+    """A note table: four read-only int64 columns sorted by (onset, pitch).
 
-    onset: int
-    duration: int
-    pitch: int
-    velocity: int
+    Each index is one note: onset and duration in ticks, MIDI pitch and MIDI
+    velocity. The constructor takes any four equal-length 1-D integer
+    sequences, checks each column's range once and stable-sorts the notes, so
+    notes tied on (onset, pitch) keep the order they were given in.
+    clamped_low and clamped_high count the pitches that were raised to 0 or
+    lowered to 127 to fit the MIDI range before the table was built.
+    """
+
+    onset: np.ndarray
+    duration: np.ndarray
+    pitch: np.ndarray
+    velocity: np.ndarray
+    clamped_low: int = 0
+    clamped_high: int = 0
 
     def __post_init__(self) -> None:
-        if self.onset < 0:
-            raise ValueError(f"onset must be >= 0, got {self.onset}")
-        if self.duration < 1:
-            raise ValueError(f"duration must be >= 1, got {self.duration}")
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch must be in [0, 127], got {self.pitch}")
-        if not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity must be in [1, 127], got {self.velocity}")
+        columns = {name: _int64_column(name, getattr(self, name), lo, hi)
+                   for name, (lo, hi) in _COLUMN_BOUNDS.items()}
+        if len({col.size for col in columns.values()}) > 1:
+            sizes = ", ".join(f"{name} {col.size}" for name, col in columns.items())
+            raise ValueError(f"note columns differ in length: {sizes}")
+        order = np.lexsort((columns["pitch"], columns["onset"]))
+        for name, col in columns.items():
+            col = col[order]
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return self.onset.size
+
+
+def _int64_column(name: str, values, lo: int, hi: int) -> np.ndarray:
+    """values as a 1-D int64 array, refused with ValueError unless all lie in [lo, hi]."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if not arr.size:
+        return np.zeros(0, dtype=np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        # Python ints beyond 64 bits arrive as an object array
+        raise ValueError(f"{name} must hold integers that fit int64, got dtype {arr.dtype}")
+    low, high = arr.min(), arr.max()
+    if low < lo or high > hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {low if low < lo else high}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -85,20 +129,22 @@ def cells_to_notes(
     base_pitch: int = 60,
     ticks_per_cell: int = 120,
     velocity: int = 100,
-) -> list[NoteEvent]:
+) -> Notes:
     """One note per maximal horizontal run of cells, sorted by (onset, pitch).
 
     Rows map to scale degrees counted up from the bottom row at base_pitch,
-    clamped to the MIDI range; overlapping notes from different rows are kept
-    (the melody may be polyphonic). Notes tied on (onset, pitch) keep the
-    row-major order of their runs.
+    clamped to the MIDI range and counted in the result's clamped_low and
+    clamped_high; overlapping notes from different rows are kept (the melody
+    may be polyphonic). Notes tied on (onset, pitch) keep the row-major order
+    of their runs. ticks_per_cell must not exceed MAX_DELTA, since every
+    delta time of a longer cell would be too long for a MIDI file.
     """
     if not len(cells):
         raise EmptyInputError("cannot render an empty cell set")
     intervals = resolve_scale(scale)
     ticks_per_cell = operator.index(ticks_per_cell)
-    if ticks_per_cell < 1:
-        raise ValueError(f"ticks_per_cell must be >= 1, got {ticks_per_cell}")
+    if not 1 <= ticks_per_cell <= MAX_DELTA:
+        raise ValueError(f"ticks_per_cell must be in [1, {MAX_DELTA}], got {ticks_per_cell}")
     rows, cols = np.divmod(cells.keys, cells.extent)
     # a run starts at every cell whose left neighbour is not in the set
     starts = np.ones(rows.size, dtype=bool)
@@ -109,29 +155,28 @@ def cells_to_notes(
     # 12 * octave stays below 2**36, so limiting each degree's pitch to +-2**40
     # keeps the int64 sum from wrapping without changing any clamped pitch
     degree_pitch = np.array([min(max(base_pitch + i, -(2**40)), 2**40) for i in intervals])
-    pitch = np.clip(degree_pitch[degree] + 12 * octave, 0, 127)
-    # lexsort is stable; onset order is column order, and onsets are multiplied
-    # out as Python ints, which cannot overflow
-    order = np.lexsort((pitch, cols[first]))
-    return [
-        NoteEvent(c * ticks_per_cell, n * ticks_per_cell, p, velocity)
-        for c, n, p in zip(
-            cols[first][order].tolist(), lengths[order].tolist(), pitch[order].tolist()
-        )
-    ]
+    pitch = degree_pitch[degree] + 12 * octave
+    # columns stay below 2**31 and ticks below 2**28, so the products fit int64
+    return Notes(
+        cols[first] * ticks_per_cell,
+        lengths * ticks_per_cell,
+        np.clip(pitch, 0, 127),
+        np.full(first.size, velocity),
+        clamped_low=int(np.count_nonzero(pitch < 0)),
+        clamped_high=int(np.count_nonzero(pitch > 127)),
+    )
 
 
-def pitch_series(notes: Sequence[NoteEvent]) -> list[float]:
+def pitch_series(notes: Notes) -> list[float]:
     """Monophonic reduction: the highest pitch struck at each distinct onset.
 
     Held notes do not mask later onsets; a chord contributes its top voice.
     """
-    if not notes:
+    if not len(notes):
         raise EmptyInputError("cannot reduce an empty note sequence")
-    top: dict[int, int] = {}
-    for note in notes:
-        top[note.onset] = max(top.get(note.onset, 0), note.pitch)
-    return [float(top[t]) for t in sorted(top)]
+    # notes are sorted by onset, so each onset's notes are one contiguous slice
+    firsts = np.flatnonzero(np.diff(notes.onset, prepend=-1))
+    return np.maximum.reduceat(notes.pitch, firsts).astype(float).tolist()
 
 
 def spectral_exponent(series: Sequence[float]) -> SpectralReport:
@@ -160,23 +205,14 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
     return SpectralReport(n, beta, fit_quality, int(usable.sum()))
 
 
-def _vlq(value: int) -> bytes:
-    """MIDI variable-length quantity: 7 data bits per byte, high bit continues."""
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(chunks))
-
-
-def write_midi(notes: Iterable[NoteEvent], ticks_per_quarter: int, tempo_bpm: int, path) -> None:
+def write_midi(notes: Notes, ticks_per_quarter: int, tempo_bpm: int, path) -> None:
     """Write a format-0 Standard MIDI File on channel 0.
 
     The single track opens with a set-tempo meta event, then note-on/note-off
     pairs in onset order with variable-length delta times, then end-of-track.
     Simultaneous events are ordered note-off first, then by pitch, so the byte
-    stream is fully determined by the note list.
+    stream is fully determined by the notes. A delta time above MAX_DELTA has
+    no Standard MIDI encoding and is refused before anything is written.
     """
     ticks_per_quarter = operator.index(ticks_per_quarter)
     if not 24 <= ticks_per_quarter <= 960:
@@ -186,29 +222,41 @@ def write_midi(notes: Iterable[NoteEvent], ticks_per_quarter: int, tempo_bpm: in
     micros_per_quarter = round(60_000_000 / tempo_bpm)
     if not 1 <= micros_per_quarter <= 0xFFFFFF:
         raise ValueError(f"tempo {tempo_bpm} bpm does not fit a set-tempo event")
-    events = []
-    for note in notes:
-        events.append((note.onset + note.duration, 0, note.pitch, _NOTE_OFF_VELOCITY))
-        events.append((note.onset, 1, note.pitch, note.velocity))
-    events.sort()
-    track = bytearray(b"\x00\xff\x51\x03" + micros_per_quarter.to_bytes(3, "big"))
-    clock = 0
-    for tick, is_on, pitch, vel in events:
-        track += _vlq(tick - clock)
-        track += bytes((0x90 if is_on else 0x80, pitch, vel))
-        clock = tick
-    track += b"\x00\xff\x2f\x00"
+    # each event's three bytes (status, pitch, velocity) as one big-endian
+    # integer; sorting by (tick, event) puts note-offs (0x80) before note-ons
+    tick = np.concatenate((notes.onset + notes.duration, notes.onset))
+    event = np.concatenate((
+        0x80_00_00 | notes.pitch << 8 | _NOTE_OFF_VELOCITY,
+        0x90_00_00 | notes.pitch << 8 | notes.velocity,
+    ))
+    order = np.lexsort((event, tick))
+    event = event[order]
+    delta = np.diff(tick[order], prepend=0)
+    longest = int(delta.max()) if delta.size else 0
+    if longest > MAX_DELTA:
+        raise ValueError(f"delta time {longest} exceeds the MIDI limit {MAX_DELTA}")
+    vlq_size = 1 + np.searchsorted(_VLQ_STEPS, delta, side="right")
+    ends = np.cumsum(vlq_size + 3)
+    body = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    for k, shift in enumerate((16, 8, 0)):
+        body[ends - 3 + k] = event >> shift & 0xFF
+    # the VLQ's last byte carries the low 7 bits; earlier ones set the high bit
+    for j in range(4):
+        has = vlq_size > j
+        body[ends[has] - 4 - j] = delta[has] >> 7 * j & 0x7F | (0x80 if j else 0)
+    tempo = b"\x00\xff\x51\x03" + micros_per_quarter.to_bytes(3, "big")
+    end_of_track = b"\x00\xff\x2f\x00"
+    track_size = len(tempo) + body.size + len(end_of_track)
     # chunk length 6, format 0, one track, ticks per quarter note
     header = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, ticks_per_quarter)
-    write_chunks(path, [header, b"MTrk" + len(track).to_bytes(4, "big"), track])
+    write_chunks(path, [header, b"MTrk" + track_size.to_bytes(4, "big"), tempo,
+                        body.tobytes(), end_of_track])
 
 
-def write_notes_csv(notes: Iterable[NoteEvent], path) -> None:
-    """CSV with header onset,duration,pitch,velocity, rows sorted by (onset, pitch)."""
-    ordered = sorted(notes, key=lambda n: (n.onset, n.pitch))
-    lines = ["onset,duration,pitch,velocity"]
-    lines += [f"{n.onset},{n.duration},{n.pitch},{n.velocity}" for n in ordered]
-    write_chunks(path, [("\n".join(lines) + "\n").encode("ascii")])
+def write_notes_csv(notes: Notes, path) -> None:
+    """CSV with header onset,duration,pitch,velocity, one row per note in table order."""
+    columns = np.column_stack((notes.onset, notes.duration, notes.pitch, notes.velocity))
+    write_chunks(path, chain([b"onset,duration,pitch,velocity\n"], ascii_rows(columns, ",")))
 
 
 def read_series_csv(path) -> list[float]:

@@ -154,3 +154,44 @@ def parse_smf(data: bytes):
             raise ValueError(f"unexpected event status {status:#x}")
     assert not any(open_notes.values()), "unterminated notes"
     return division, tempo_us, notes
+
+
+def _smf_vlq(value: int) -> bytes:
+    """A Standard MIDI variable-length quantity: 7-bit groups, most significant
+    first, each group but the last with its high bit set; at most 4 bytes."""
+    assert 0 <= value <= 0x0FFFFFFF
+    out = [0x80 | (value >> shift) & 0x7F for shift in (21, 14, 7) if value >> shift]
+    return bytes(out + [value & 0x7F])
+
+
+def reference_midi(rows, ticks_per_quarter: int, tempo_bpm) -> bytes:
+    """Format-0 Standard MIDI File of (onset, duration, pitch, velocity) rows.
+
+    One event at a time: a set-tempo meta event, then a note-on (0x90) and a
+    note-off (0x80, velocity 64) per row in time order, note-offs first at
+    equal times, then by pitch and velocity, then end-of-track.
+    """
+    events = []
+    for onset, duration, pitch, velocity in rows:
+        events.append((onset, 0x90, pitch, velocity))
+        events.append((onset + duration, 0x80, pitch, 64))
+    events.sort()
+    micros = round(60_000_000 / tempo_bpm)
+    track = b"\x00\xff\x51\x03" + micros.to_bytes(3, "big")
+    clock = 0
+    for tick, status, pitch, velocity in events:
+        track += _smf_vlq(tick - clock) + bytes([status, pitch, velocity])
+        clock = tick
+    track += b"\x00\xff\x2f\x00"
+    header = b"MThd" + (6).to_bytes(4, "big") + (0).to_bytes(2, "big") + (1).to_bytes(2, "big")
+    header += ticks_per_quarter.to_bytes(2, "big")
+    return header + b"MTrk" + len(track).to_bytes(4, "big") + track
+
+
+def top_voice(rows) -> list[float]:
+    """Highest pitch struck at each distinct onset of (onset, _, pitch, ...) rows, by onset."""
+    top: dict[int, int] = {}
+    for row in rows:
+        onset, pitch = row[0], row[2]
+        top[onset] = max(top.get(onset, pitch), pitch)
+    return [float(top[t]) for t in sorted(top)]

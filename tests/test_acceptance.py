@@ -205,7 +205,8 @@ def test_criterion_09_melody_midi(capsys, tmp_path):
         if not data.startswith(b"MThd"):
             failures.append(f"({base},{depth}): missing MThd prefix")
         _, _, parsed = parse_smf(data)
-        if sorted(parsed) != sorted((n.onset, n.duration, n.pitch) for n in notes):
+        if sorted(parsed) != sorted(zip(notes.onset.tolist(), notes.duration.tolist(),
+                                        notes.pitch.tolist())):
             failures.append(f"({base},{depth}): SMF round trip differs")
     with capsys.disabled():
         _verdict(9, "MIDI byte-stable, MThd prefix, parser round trip, run counts", failures)

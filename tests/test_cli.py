@@ -154,6 +154,29 @@ def test_music_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_music_refuses_ticks_beyond_the_midi_delta_limit(capsys, tmp_path):
+    midi = tmp_path / "m.mid"
+    argv = ["music", "--base", "2", "--depth", "2", "--ticks", "1000000000", "--midi", str(midi)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: ticks_per_cell must be in [1, 268435455], got 1000000000"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--base", "2", "--depth", "6"],
+     "note: clamped 215 of 365 pitches to the MIDI range (0 below 0, 215 above 127)\n"),
+    (["--base", "2", "--depth", "6", "--base-pitch", "0", "--scale", "chromatic"], ""),
+], ids=["clamped", "in-range"])
+def test_music_reports_clamped_pitches(capsys, tmp_path, argv, err):
+    assert run(["music", *argv, "--midi", str(tmp_path / "m.mid")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out.splitlines()[0] == "zero-carry pattern base 2 depth 6: 365 notes"
+
+
 def test_spectrum_from_file(capsys, tmp_path):
     series = tmp_path / "series.csv"
     series.write_text("\n".join(str((i * 37 % 11) - 5) for i in range(128)) + "\n")

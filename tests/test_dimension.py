@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cvtfractals import (
     SEARCH_CAP,
     CellSet,
+    DimensionEstimate,
     DimensionRangeError,
     EmptyInputError,
     InsufficientScalesError,
@@ -237,3 +238,20 @@ class TestDimensionCsv:
         rows = [line.split(",") for line in path.read_text().splitlines()[1:-2]]
         assert [int(r[0]) for r in rows] == [1, 2, 4]
         assert [r[2] for r in rows] == [f"{math.log(8 / s):.6f}" for s in (1, 2, 4)]
+
+    @pytest.mark.parametrize("scales,counts,error", [
+        ((1,), (1,), InsufficientScalesError),
+        ((), (), InsufficientScalesError),
+        ((1, 2), (4,), ValueError),
+        ((1, 2, 4), (9, 3), ValueError),
+        ((1, 2, 3), (9, 3, 1), ValueError),
+        ((1, 1), (9, 3), ValueError),
+        ((0, 2), (9, 3), ValueError),
+        ((2, 1), (3, 9), ValueError),
+        ((1, 3, 6), (9, 3, 1), ValueError),
+    ], ids=["one-scale", "no-scale", "short-counts", "long-scales", "arithmetic",
+            "ratio-one", "zero-scale", "shrinking", "ratio-changes"])
+    def test_malformed_estimate_refused(self, tmp_path, scales, counts, error):
+        with pytest.raises(error):
+            write_dimension_csv(DimensionEstimate(scales, counts, 0.0, 1.0), tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()

@@ -10,7 +10,7 @@ from cvtfractals import (
     DegenerateSeriesError,
     EmptyInputError,
     InsufficientDataError,
-    NoteEvent,
+    Notes,
     cells_to_notes,
     pitch_series,
     read_series_csv,
@@ -20,7 +20,28 @@ from cvtfractals import (
     write_notes_csv,
     zero_carry_set,
 )
-from helpers import brute_force_run_count, brute_force_runs, parse_smf
+from cvtfractals.melody import MAX_DELTA
+from helpers import (
+    brute_force_run_count,
+    brute_force_runs,
+    csv_bytes,
+    parse_smf,
+    reference_midi,
+    top_voice,
+)
+
+CSV_HEADER = "onset,duration,pitch,velocity"
+
+
+def note_rows(notes):
+    """The notes as (onset, duration, pitch, velocity) tuples in table order."""
+    return list(zip(notes.onset.tolist(), notes.duration.tolist(),
+                    notes.pitch.tolist(), notes.velocity.tolist()))
+
+
+def make_notes(*rows):
+    """Notes from (onset, duration, pitch, velocity) tuples."""
+    return Notes(*(list(col) for col in zip(*rows))) if rows else Notes([], [], [], [])
 
 
 class TestCellsToNotes:
@@ -28,24 +49,24 @@ class TestCellsToNotes:
         notes = cells_to_notes(zero_carry_set(2, 1), ticks_per_cell=120)
         assert len(notes) == 2
         # bottom row maps to the base pitch, the row above to the next degree
-        assert notes[0] == NoteEvent(onset=0, duration=120, pitch=60, velocity=100)
-        assert notes[1] == NoteEvent(onset=0, duration=240, pitch=62, velocity=100)
+        assert note_rows(notes) == [(0, 120, 60, 100), (0, 240, 62, 100)]
 
     def test_single_cell(self):
         notes = cells_to_notes(CellSet(2, 0, [(0, 0)]), ticks_per_cell=90)
-        assert notes == [NoteEvent(onset=0, duration=90, pitch=60, velocity=100)]
+        assert note_rows(notes) == [(0, 90, 60, 100)]
 
     def test_full_row_is_one_note(self):
         extent = 8
         cells = CellSet(2, 3, [(0, c) for c in range(extent)])
         notes = cells_to_notes(cells, ticks_per_cell=50)
         assert len(notes) == 1
-        assert notes[0].duration == extent * 50
+        assert notes.duration.tolist() == [extent * 50]
 
     def test_gap_splits_runs(self):
         cells = CellSet(2, 2, [(1, 0), (1, 1), (1, 3)])
         notes = cells_to_notes(cells, ticks_per_cell=10)
-        assert [(n.onset, n.duration) for n in notes] == [(0, 20), (30, 10)]
+        assert notes.onset.tolist() == [0, 30]
+        assert notes.duration.tolist() == [20, 10]
 
     def test_empty_cells(self):
         with pytest.raises(EmptyInputError):
@@ -54,14 +75,13 @@ class TestCellsToNotes:
     def test_pitch_clamped_to_midi_range(self):
         cells = zero_carry_set(2, 6)  # extent 64, top rows push past pitch 127
         notes = cells_to_notes(cells, base_pitch=80)
-        assert max(n.pitch for n in notes) == 127
-        assert all(0 <= n.pitch <= 127 for n in notes)
+        assert notes.pitch.max() == 127
+        assert notes.pitch.min() >= 0
 
     def test_sorted_by_onset_then_pitch(self):
         notes = cells_to_notes(zero_carry_set(3, 3))
-        assert [(n.onset, n.pitch) for n in notes] == sorted(
-            (n.onset, n.pitch) for n in notes
-        )
+        keys = list(zip(notes.onset.tolist(), notes.pitch.tolist()))
+        assert keys == sorted(keys)
 
     @pytest.mark.parametrize("base,depth", [(2, 4), (2, 5), (3, 3), (5, 2)])
     def test_note_count_matches_run_oracle(self, base, depth):
@@ -72,7 +92,7 @@ class TestCellsToNotes:
     def test_total_duration_covers_every_cell(self, base, depth):
         cells = zero_carry_set(base, depth)
         notes = cells_to_notes(cells, ticks_per_cell=7)
-        assert sum(n.duration for n in notes) == len(cells) * 7
+        assert int(notes.duration.sum()) == len(cells) * 7
 
     @given(
         st.integers(min_value=2, max_value=5),
@@ -83,7 +103,7 @@ class TestCellsToNotes:
             st.lists(st.integers(), min_size=1, max_size=7).map(tuple),
         ),
         st.one_of(st.integers(min_value=-40, max_value=140), st.integers()),
-        st.one_of(st.integers(min_value=1, max_value=9), st.integers(min_value=1)),
+        st.one_of(st.integers(min_value=1, max_value=9), st.integers(1, MAX_DELTA)),
     )
     @settings(max_examples=60)
     def test_notes_match_run_walk(self, base, depth, data, scale, base_pitch, ticks):
@@ -93,26 +113,30 @@ class TestCellsToNotes:
         cells = CellSet(base, depth, pairs)
         intervals = resolve_scale(scale)
         expected = []
+        low = high = 0
         for row, start, length in brute_force_runs(pairs):
             octave, degree = divmod(extent - 1 - row, len(intervals))
-            pitch = max(0, min(127, base_pitch + 12 * octave + intervals[degree]))
-            expected.append(NoteEvent(start * ticks, length * ticks, pitch, 100))
+            raw = base_pitch + 12 * octave + intervals[degree]
+            low += raw < 0
+            high += raw > 127
+            expected.append((start * ticks, length * ticks, max(0, min(127, raw)), 100))
         # stable: notes tied on (onset, pitch) keep the row-major order of their runs
-        expected.sort(key=lambda n: (n.onset, n.pitch))
+        expected.sort(key=lambda n: (n[0], n[2]))
         notes = cells_to_notes(cells, scale=scale, base_pitch=base_pitch, ticks_per_cell=ticks)
         assert len(notes) == brute_force_run_count(pairs)
-        assert notes == expected
+        assert note_rows(notes) == expected
+        assert (notes.clamped_low, notes.clamped_high) == (low, high)
 
     def test_scale_degrees(self):
         cells = CellSet(8, 1, [(row, 0) for row in range(8)])
         notes = cells_to_notes(cells, scale="major", base_pitch=60)
-        assert sorted(n.pitch for n in notes) == [60, 62, 64, 65, 67, 69, 71, 72]
+        assert sorted(notes.pitch.tolist()) == [60, 62, 64, 65, 67, 69, 71, 72]
 
     def test_named_and_explicit_scales_agree(self):
         cells = zero_carry_set(3, 2)
         named = cells_to_notes(cells, scale="minor")
         explicit = cells_to_notes(cells, scale=(0, 2, 3, 5, 7, 8, 10))
-        assert named == explicit
+        assert note_rows(named) == note_rows(explicit)
 
     def test_unknown_scale(self):
         with pytest.raises(ValueError):
@@ -121,34 +145,24 @@ class TestCellsToNotes:
 
 class TestPitchSeries:
     def test_max_reduction_at_shared_onset(self):
-        notes = [
-            NoteEvent(0, 120, 60, 100),
-            NoteEvent(0, 120, 64, 100),
-        ]
+        notes = make_notes((0, 120, 60, 100), (0, 120, 64, 100))
         assert pitch_series(notes) == [64.0]
 
     def test_sequential_onsets(self):
-        notes = [
-            NoteEvent(0, 120, 60, 100),
-            NoteEvent(120, 120, 62, 100),
-            NoteEvent(240, 120, 64, 100),
-        ]
+        notes = make_notes((0, 120, 60, 100), (120, 120, 62, 100), (240, 120, 64, 100))
         assert pitch_series(notes) == [60.0, 62.0, 64.0]
 
     def test_held_note_does_not_mask_later_onsets(self):
-        notes = [
-            NoteEvent(0, 500, 70, 100),
-            NoteEvent(100, 100, 50, 100),
-        ]
+        notes = make_notes((0, 500, 70, 100), (100, 100, 50, 100))
         assert pitch_series(notes) == [70.0, 50.0]
 
     def test_length_is_distinct_onset_count(self):
         notes = cells_to_notes(zero_carry_set(2, 4))
-        assert len(pitch_series(notes)) == len({n.onset for n in notes})
+        assert len(pitch_series(notes)) == len(set(notes.onset.tolist()))
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):
-            pitch_series([])
+            pitch_series(make_notes())
 
 
 class TestSpectralExponent:
@@ -206,7 +220,7 @@ class TestSpectralExponent:
 class TestWriteMidi:
     def test_empty_notes(self, tmp_path):
         path = tmp_path / "empty.mid"
-        write_midi([], ticks_per_quarter=480, tempo_bpm=120, path=path)
+        write_midi(make_notes(), ticks_per_quarter=480, tempo_bpm=120, path=path)
         data = path.read_bytes()
         assert data.startswith(b"MThd")
         division, tempo_us, notes = parse_smf(data)
@@ -217,7 +231,7 @@ class TestWriteMidi:
     def test_single_note_deltas(self, tmp_path):
         path = tmp_path / "one.mid"
         write_midi(
-            [NoteEvent(0, 120, 60, 100)], ticks_per_quarter=120, tempo_bpm=120, path=path
+            make_notes((0, 120, 60, 100)), ticks_per_quarter=120, tempo_bpm=120, path=path
         )
         data = path.read_bytes()
         # after the tempo event: delta 0 note-on 60, delta 120 note-off 60
@@ -239,7 +253,7 @@ class TestWriteMidi:
         path = tmp_path / "rt.mid"
         write_midi(notes, ticks_per_quarter=480, tempo_bpm=120, path=path)
         _, _, parsed = parse_smf(path.read_bytes())
-        assert sorted(parsed) == sorted((n.onset, n.duration, n.pitch) for n in notes)
+        assert sorted(parsed) == sorted(row[:3] for row in note_rows(notes))
 
     def test_byte_stable(self, tmp_path):
         notes = cells_to_notes(zero_carry_set(3, 2))
@@ -249,7 +263,7 @@ class TestWriteMidi:
         assert a.read_bytes() == b.read_bytes()
 
     def test_simultaneous_offs_precede_ons(self, tmp_path):
-        notes = [NoteEvent(0, 100, 60, 90), NoteEvent(100, 100, 62, 90)]
+        notes = make_notes((0, 100, 60, 90), (100, 100, 62, 90))
         path = tmp_path / "seq.mid"
         write_midi(notes, ticks_per_quarter=480, tempo_bpm=120, path=path)
         data = path.read_bytes()
@@ -259,21 +273,21 @@ class TestWriteMidi:
 
     def test_invalid_division(self, tmp_path):
         with pytest.raises(ValueError):
-            write_midi([], ticks_per_quarter=10, tempo_bpm=120, path=tmp_path / "x.mid")
+            write_midi(make_notes(), ticks_per_quarter=10, tempo_bpm=120, path=tmp_path / "x.mid")
 
     def test_tempo_too_slow_for_three_bytes(self, tmp_path):
         with pytest.raises(ValueError):
-            write_midi([], ticks_per_quarter=480, tempo_bpm=3, path=tmp_path / "x.mid")
+            write_midi(make_notes(), ticks_per_quarter=480, tempo_bpm=3, path=tmp_path / "x.mid")
 
     @pytest.mark.parametrize("tempo", [0, -120, 0.0])
     def test_non_positive_tempo(self, tmp_path, tempo):
         path = tmp_path / "x.mid"
         with pytest.raises(ValueError, match="tempo_bpm must be > 0"):
-            write_midi([], ticks_per_quarter=480, tempo_bpm=tempo, path=path)
+            write_midi(make_notes(), ticks_per_quarter=480, tempo_bpm=tempo, path=path)
         assert not path.exists()
 
     def test_long_delta_uses_vlq(self, tmp_path):
-        notes = [NoteEvent(0, 100, 60, 90), NoteEvent(100_000, 50, 61, 90)]
+        notes = make_notes((0, 100, 60, 90), (100_000, 50, 61, 90))
         path = tmp_path / "vlq.mid"
         write_midi(notes, ticks_per_quarter=480, tempo_bpm=120, path=path)
         _, _, parsed = parse_smf(path.read_bytes())
@@ -283,12 +297,12 @@ class TestWriteMidi:
 class TestNotesCsv:
     def test_empty_list(self, tmp_path):
         path = tmp_path / "notes.csv"
-        write_notes_csv([], path)
+        write_notes_csv(make_notes(), path)
         assert path.read_bytes() == b"onset,duration,pitch,velocity\n"
 
     def test_single_note(self, tmp_path):
         path = tmp_path / "notes.csv"
-        write_notes_csv([NoteEvent(0, 120, 60, 100)], path)
+        write_notes_csv(make_notes((0, 120, 60, 100)), path)
         assert path.read_bytes() == b"onset,duration,pitch,velocity\n0,120,60,100\n"
 
     def test_round_trip(self, tmp_path):
@@ -297,7 +311,7 @@ class TestNotesCsv:
         write_notes_csv(notes, path)
         lines = path.read_text().splitlines()
         parsed = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
-        assert parsed == [(n.onset, n.duration, n.pitch, n.velocity) for n in notes]
+        assert parsed == note_rows(notes)
 
 
 class TestReadSeriesCsv:
@@ -318,16 +332,116 @@ class TestReadSeriesCsv:
             read_series_csv(path)
 
 
-class TestNoteEvent:
+class TestNotes:
     @pytest.mark.parametrize(
-        "kwargs",
+        "columns",
         [
-            dict(onset=-1, duration=1, pitch=60, velocity=100),
-            dict(onset=0, duration=0, pitch=60, velocity=100),
-            dict(onset=0, duration=1, pitch=128, velocity=100),
-            dict(onset=0, duration=1, pitch=60, velocity=0),
+            ([-1], [1], [60], [100]),
+            ([0], [0], [60], [100]),
+            ([0], [1], [128], [100]),
+            ([0], [1], [60], [0]),
+            ([0], [1], [-1], [100]),
+            ([0], [1], [60], [128]),
+            ([2**62], [1], [60], [100]),
+            ([0], [2**63], [60], [100]),
+            ([0], [1], [2**70], [100]),
+            ([0.5], [1], [60], [100]),
+            ([[0]], [[1]], [[60]], [[100]]),
+            ([0, 1], [1], [60], [100]),
+            ([0], [1, 1], [60, 60], [100, 100]),
         ],
     )
-    def test_validation(self, kwargs):
+    def test_refuses_malformed_columns(self, columns):
         with pytest.raises(ValueError):
-            NoteEvent(**kwargs)
+            Notes(*columns)
+
+    def test_columns_are_read_only_int64_copies(self):
+        onset = np.array([5, 0])
+        notes = Notes(onset, [1, 2], [60, 61], [100, 90])
+        onset[0] = 99
+        assert note_rows(notes) == [(0, 2, 61, 90), (5, 1, 60, 100)]
+        for col in (notes.onset, notes.duration, notes.pitch, notes.velocity):
+            assert col.dtype == np.int64
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+    def test_stable_sort_by_onset_then_pitch(self):
+        notes = make_notes((3, 1, 60, 1), (0, 9, 70, 2), (0, 4, 70, 3), (0, 2, 50, 4))
+        assert note_rows(notes) == [(0, 2, 50, 4), (0, 9, 70, 2), (0, 4, 70, 3), (3, 1, 60, 1)]
+        assert len(notes) == 4
+
+
+BOUNDARY_DELTAS = [0, 1, 2**7 - 1, 2**7, 2**14 - 1, 2**14, 2**21 - 1, 2**21, MAX_DELTA]
+delta_st = st.one_of(st.sampled_from(BOUNDARY_DELTAS), st.integers(0, MAX_DELTA))
+
+
+@st.composite
+def note_rows_st(draw):
+    """(onset, duration, pitch, velocity) rows in any order, every MIDI delta <= MAX_DELTA.
+
+    Onsets step by at most MAX_DELTA and notes last at most MAX_DELTA, so any
+    two adjacent event times are at most MAX_DELTA apart.
+    """
+    rows, onset = [], 0
+    for _ in range(draw(st.integers(0, 25))):
+        onset += draw(delta_st)
+        duration = draw(st.one_of(st.sampled_from(BOUNDARY_DELTAS[1:]), st.integers(1, 300)))
+        pitch = draw(st.one_of(st.sampled_from([0, 60, 61, 127]), st.integers(0, 127)))
+        rows.append((onset, duration, pitch, draw(st.integers(1, 127))))
+    return draw(st.permutations(rows))
+
+
+class TestColumnarOracles:
+    @given(note_rows_st(), st.integers(24, 960), st.sampled_from([4, 61, 120, 3000]))
+    @settings(max_examples=80, deadline=None)
+    def test_midi_matches_reference_encoder(self, tmp_path_factory, rows, tpq, tempo):
+        path = tmp_path_factory.mktemp("midi") / "n.mid"
+        write_midi(make_notes(*rows), ticks_per_quarter=tpq, tempo_bpm=tempo, path=path)
+        data = path.read_bytes()
+        assert data == reference_midi(rows, tpq, tempo)
+        division, tempo_us, parsed = parse_smf(data)
+        assert (division, tempo_us) == (tpq, round(60_000_000 / tempo))
+        # overlapping notes of one pitch pair up ambiguously, so compare the
+        # note-on and note-off times of each pitch
+        for is_end in (0, 1):
+            assert sorted((n[2], n[0] + is_end * n[1]) for n in parsed) == sorted(
+                (r[2], r[0] + is_end * r[1]) for r in rows)
+
+    @pytest.mark.parametrize("delta", BOUNDARY_DELTAS)
+    def test_every_vlq_length(self, tmp_path, delta):
+        rows = [(delta, 1, 60, 100), (delta + 1 + delta, 3, 61, 90)]
+        path = tmp_path / "d.mid"
+        write_midi(make_notes(*rows), ticks_per_quarter=480, tempo_bpm=120, path=path)
+        assert path.read_bytes() == reference_midi(rows, 480, 120)
+        assert sorted(parse_smf(path.read_bytes())[2]) == [r[:3] for r in rows]
+
+    @pytest.mark.parametrize("rows", [
+        [(MAX_DELTA + 1, 1, 60, 100)],
+        [(0, 1, 60, 100), (MAX_DELTA + 2, 1, 60, 100)],
+        [(0, MAX_DELTA + 1, 60, 100)],
+    ])
+    def test_refuses_delta_beyond_smf_limit(self, tmp_path, rows):
+        path = tmp_path / "d.mid"
+        with pytest.raises(ValueError, match="exceeds the MIDI limit"):
+            write_midi(make_notes(*rows), ticks_per_quarter=480, tempo_bpm=120, path=path)
+        assert not path.exists()
+
+    def test_ticks_per_cell_bounded_by_smf_limit(self):
+        cells = zero_carry_set(2, 2)
+        with pytest.raises(ValueError, match="ticks_per_cell"):
+            cells_to_notes(cells, ticks_per_cell=MAX_DELTA + 1)
+        notes = cells_to_notes(cells, ticks_per_cell=MAX_DELTA)
+        assert int(notes.duration.min()) == MAX_DELTA
+
+    @given(note_rows_st())
+    @settings(max_examples=60, deadline=None)
+    def test_csv_matches_stable_sorted_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "n.csv"
+        write_notes_csv(make_notes(*rows), path)
+        expected = sorted(rows, key=lambda row: (row[0], row[2]))
+        assert path.read_bytes() == csv_bytes(expected, header=CSV_HEADER)
+
+    @given(note_rows_st().filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_pitch_series_matches_top_voice(self, rows):
+        assert pitch_series(make_notes(*rows)) == top_voice(rows)
