@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from cvtfractals import (
@@ -32,27 +31,19 @@ from cvtfractals import (
     zero_carry_set,
 )
 
-
-@dataclass
-class Config:
-    outdir: Path = Path("out")
-    bases: tuple[int, ...] = (2, 3, 4, 5)
-    # depths chosen so every image stays near 256..625 pixels per side
-    depth_by_base: dict[int, int] = field(
-        default_factory=lambda: {2: 8, 3: 5, 4: 4, 5: 4}
-    )
-    table_digits: int = 2
-    overlay_small_bases: tuple[int, ...] = (2, 3)
-    overlay_depth: int = 6
-    melody_base: int = 2
-    melody_depth: int = 6
-    melody_base_pitch: int = 36
+# depths chosen so every image stays near 256..625 pixels per side
+DEPTH_BY_BASE = {2: 8, 3: 5, 4: 4, 5: 4}
+TABLE_DIGITS = 2
+OVERLAY_SMALL_BASES = (2, 3)
+OVERLAY_DEPTH = 6
+MELODY_BASE = 2
+MELODY_DEPTH = 6
+MELODY_BASE_PITCH = 36
 
 
-def dimension_table(cfg: Config) -> None:
+def dimension_table() -> None:
     print(f"{'base':>4} {'closed form':>12} {'box count':>12} {'fit':>8} {'cells':>8}")
-    for base in cfg.bases:
-        depth = cfg.depth_by_base[base]
+    for base, depth in DEPTH_BY_BASE.items():
         cells = zero_carry_set(base, depth)
         est = estimate_dimension(cells)
         print(
@@ -61,21 +52,20 @@ def dimension_table(cfg: Config) -> None:
         )
 
 
-def render_patterns(cfg: Config) -> None:
-    for base in cfg.bases:
-        depth = cfg.depth_by_base[base]
-        pbm = cfg.outdir / f"fractal_base{base}.pbm"
+def render_patterns(outdir: Path) -> None:
+    for base, depth in DEPTH_BY_BASE.items():
+        pbm = outdir / f"fractal_base{base}.pbm"
         write_pnm(render_cellset(zero_carry_set(base, depth)), pbm)
-        pgm = cfg.outdir / f"table_base{base}.pgm"
-        zoom = max(1, 256 // base**cfg.table_digits)
-        write_pnm(render_table(build_table(base, cfg.table_digits), zoom=zoom), pgm)
+        pgm = outdir / f"table_base{base}.pgm"
+        zoom = max(1, 256 // base**TABLE_DIGITS)
+        write_pnm(render_table(build_table(base, TABLE_DIGITS), zoom=zoom), pgm)
         print(f"wrote {pbm} and {pgm}")
 
 
-def overlay_reports(cfg: Config) -> None:
-    for small in cfg.overlay_small_bases:
-        report = analyze_overlay(small, cfg.overlay_depth)
-        path = cfg.outdir / f"overlay_{small}_to_{small + 1}.txt"
+def overlay_reports(outdir: Path) -> None:
+    for small in OVERLAY_SMALL_BASES:
+        report = analyze_overlay(small, OVERLAY_DEPTH)
+        path = outdir / f"overlay_{small}_to_{small + 1}.txt"
         write_overlay_report(report, path)
         print(
             f"overlay {small}->{small + 1}: claimed {report.claimed_increment:.6f},"
@@ -83,25 +73,24 @@ def overlay_reports(cfg: Config) -> None:
         )
 
 
-def demo_melody(cfg: Config) -> None:
-    cells = zero_carry_set(cfg.melody_base, cfg.melody_depth)
-    notes = cells_to_notes(cells, base_pitch=cfg.melody_base_pitch)
-    midi = cfg.outdir / "demo.mid"
-    write_midi(notes, ticks_per_quarter=480, tempo_bpm=110, path=midi)
-    write_notes_csv(notes, cfg.outdir / "demo_notes.csv")
+def demo_melody(outdir: Path) -> None:
+    cells = zero_carry_set(MELODY_BASE, MELODY_DEPTH)
+    notes = cells_to_notes(cells, base_pitch=MELODY_BASE_PITCH)
+    midi = outdir / "demo.mid"
+    write_midi(notes, tempo_bpm=110, path=midi)
+    write_notes_csv(notes, outdir / "demo_notes.csv")
     print(f"melody: {len(notes)} notes -> {midi}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outdir", type=Path, default=Config.outdir)
+    parser.add_argument("--outdir", type=Path, default=Path("out"))
     args = parser.parse_args(argv)
-    cfg = Config(outdir=args.outdir)
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    dimension_table(cfg)
-    render_patterns(cfg)
-    overlay_reports(cfg)
-    demo_melody(cfg)
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    dimension_table()
+    render_patterns(args.outdir)
+    overlay_reports(args.outdir)
+    demo_melody(args.outdir)
     return 0
 
 

@@ -122,19 +122,13 @@ def _cmd_overlay(args) -> int:
 
 def _cmd_music(args) -> int:
     cells = table.zero_carry_set(args.base, args.depth)
-    notes = melody.cells_to_notes(
-        cells,
-        scale=args.scale,
-        base_pitch=args.base_pitch,
-        ticks_per_cell=args.ticks,
-        velocity=args.velocity,
-    )
+    notes = melody.cells_to_notes(cells, scale=args.scale, base_pitch=args.base_pitch)
     print(f"zero-carry pattern base {args.base} depth {args.depth}: {len(notes)} notes")
     if notes.clamped_low or notes.clamped_high:
         print(f"note: clamped {notes.clamped_low + notes.clamped_high} of {len(notes)} pitches"
               f" to the MIDI range ({notes.clamped_low} below 0, {notes.clamped_high} above 127)",
               file=sys.stderr)
-    melody.write_midi(notes, ticks_per_quarter=args.division, tempo_bpm=args.tempo, path=args.midi)
+    melody.write_midi(notes, tempo_bpm=args.tempo, path=args.midi)
     print(f"wrote {args.midi}")
     if args.csv:
         melody.write_notes_csv(notes, args.csv)
@@ -224,11 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_nonneg_arg, required=True)
     p.add_argument("--scale", choices=sorted(melody.SCALES), default="major")
     p.add_argument("--base-pitch", type=_int_arg(0, 127), default=60)
-    p.add_argument("--ticks", type=_pos_arg, default=120, help="ticks per grid cell")
-    p.add_argument("--tempo", type=_pos_arg, default=120, help="beats per minute")
-    p.add_argument("--division", type=_int_arg(24, 960), default=480,
-                   help="MIDI ticks per quarter note")
-    p.add_argument("--velocity", type=_int_arg(1, 127), default=100)
+    p.add_argument("--tempo", type=_pos_arg, default=120,
+                   help="beats per minute; each grid cell is a sixteenth note")
     p.add_argument("--midi", metavar="PATH", required=True)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--spectrum", action="store_true",

@@ -131,12 +131,10 @@ def estimate_dimension(cells: CellSet) -> DimensionEstimate:
 
 
 def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of y on x and its R^2; a constant y is fitted exactly (R^2 = 1)."""
+    """Least-squares slope of y on x and its R^2; callers refuse a constant y first."""
     x_mean, y_mean = x.mean(), y.mean()
     slope = float(((x - x_mean) * (y - y_mean)).sum() / ((x - x_mean) ** 2).sum())
     ss_tot = float(((y - y_mean) ** 2).sum())
-    if ss_tot == 0.0:
-        return slope, 1.0
     residual = y - (y_mean + slope * (x - x_mean))
     return slope, 1.0 - float((residual**2).sum()) / ss_tot
 

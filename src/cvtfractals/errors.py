@@ -25,10 +25,6 @@ class DimensionRangeError(CvtError, ValueError):
     """Target dimension lies outside the reachable interval."""
 
 
-class InvalidPairError(CvtError, ValueError):
-    """Overlay bases must be consecutive integers."""
-
-
 class EmptyInputError(CvtError, ValueError):
     """Operation requires a nonempty input."""
 

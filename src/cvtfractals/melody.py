@@ -33,8 +33,15 @@ SCALES: dict[str, tuple[int, ...]] = {
     "chromatic": (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
 }
 
+# one grid cell is a sixteenth note
+TICKS_PER_CELL = 120
+TICKS_PER_QUARTER = 480
+VELOCITY = 100
 _NOTE_OFF_VELOCITY = 64
 MIN_SPECTRUM_LENGTH = 32
+# log-power spread below which a spectrum counts as flat: rounding in the FFT
+# moves log power by about 1e-14 on series of up to 2**22 samples
+_FLAT_SPECTRUM_SPREAD = 1e-9
 # the largest delta time a Standard MIDI File can encode: four VLQ bytes of 7 bits
 MAX_DELTA = 2**28 - 1
 # the range of each Notes column; onsets and durations stay below 2**62, so
@@ -123,28 +130,19 @@ def resolve_scale(scale) -> tuple[int, ...]:
     return intervals
 
 
-def cells_to_notes(
-    cells: CellSet,
-    scale="major",
-    base_pitch: int = 60,
-    ticks_per_cell: int = 120,
-    velocity: int = 100,
-) -> Notes:
+def cells_to_notes(cells: CellSet, scale="major", base_pitch: int = 60) -> Notes:
     """One note per maximal horizontal run of cells, sorted by (onset, pitch).
 
-    Rows map to scale degrees counted up from the bottom row at base_pitch,
-    clamped to the MIDI range and counted in the result's clamped_low and
-    clamped_high; overlapping notes from different rows are kept (the melody
-    may be polyphonic). Notes tied on (onset, pitch) keep the row-major order
-    of their runs. ticks_per_cell must not exceed MAX_DELTA, since every
-    delta time of a longer cell would be too long for a MIDI file.
+    Each cell lasts TICKS_PER_CELL ticks and every note has velocity
+    VELOCITY. Rows map to scale degrees counted up from the bottom row at
+    base_pitch, clamped to the MIDI range and counted in the result's
+    clamped_low and clamped_high; overlapping notes from different rows are
+    kept (the melody may be polyphonic). Notes tied on (onset, pitch) keep the
+    row-major order of their runs.
     """
     if not len(cells):
         raise EmptyInputError("cannot render an empty cell set")
     intervals = resolve_scale(scale)
-    ticks_per_cell = operator.index(ticks_per_cell)
-    if not 1 <= ticks_per_cell <= MAX_DELTA:
-        raise ValueError(f"ticks_per_cell must be in [1, {MAX_DELTA}], got {ticks_per_cell}")
     rows, cols = np.divmod(cells.keys, cells.extent)
     # a run starts at every cell whose left neighbour is not in the set
     starts = np.ones(rows.size, dtype=bool)
@@ -156,12 +154,12 @@ def cells_to_notes(
     # keeps the int64 sum from wrapping without changing any clamped pitch
     degree_pitch = np.array([min(max(base_pitch + i, -(2**40)), 2**40) for i in intervals])
     pitch = degree_pitch[degree] + 12 * octave
-    # columns stay below 2**31 and ticks below 2**28, so the products fit int64
+    # columns stay below 2**31, so the tick products fit int64
     return Notes(
-        cols[first] * ticks_per_cell,
-        lengths * ticks_per_cell,
+        cols[first] * TICKS_PER_CELL,
+        lengths * TICKS_PER_CELL,
         np.clip(pitch, 0, 127),
-        np.full(first.size, velocity),
+        np.full(first.size, VELOCITY),
         clamped_low=int(np.count_nonzero(pitch < 0)),
         clamped_high=int(np.count_nonzero(pitch > 127)),
     )
@@ -184,7 +182,8 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
 
     The periodogram is |DFT|^2 / length at frequencies j/length for
     j = 1..length//2; the fit is ordinary least squares on the log-log points,
-    excluding the DC bin and any zero-power bins.
+    excluding the DC bin and any zero-power bins. A flat spectrum, where every
+    usable bin carries the same power, has no slope to fit and is refused.
     """
     arr = np.asarray(series, dtype=float)
     if not np.isfinite(arr).all():
@@ -200,23 +199,25 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
     usable = power > 0
     if int(usable.sum()) < 2:
         raise DegenerateSeriesError("fewer than 2 frequency bins carry power")
-    slope, fit_quality = _ols_fit(np.log(freqs[usable]), np.log(power[usable]))
-    beta = 0.0 - slope  # avoids returning -0.0 for flat spectra
+    log_power = np.log(power[usable])
+    if np.ptp(log_power) < _FLAT_SPECTRUM_SPREAD:
+        raise DegenerateSeriesError("spectrum is flat: every frequency bin carries equal power")
+    slope, fit_quality = _ols_fit(np.log(freqs[usable]), log_power)
+    beta = 0.0 - slope  # avoids returning -0.0 for a zero slope
     return SpectralReport(n, beta, fit_quality, int(usable.sum()))
 
 
-def write_midi(notes: Notes, ticks_per_quarter: int, tempo_bpm: int, path) -> None:
-    """Write a format-0 Standard MIDI File on channel 0.
+def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
+    """Write a format-0 Standard MIDI File on channel 0, TICKS_PER_QUARTER ticks per beat.
 
-    The single track opens with a set-tempo meta event, then note-on/note-off
-    pairs in onset order with variable-length delta times, then end-of-track.
-    Simultaneous events are ordered note-off first, then by pitch, so the byte
-    stream is fully determined by the notes. A delta time above MAX_DELTA has
-    no Standard MIDI encoding and is refused before anything is written.
+    tempo_bpm is the one control of playback speed: a cell of TICKS_PER_CELL
+    ticks lasts 15 / tempo_bpm seconds. The single track opens with a
+    set-tempo meta event, then note-on/note-off pairs in onset order with
+    variable-length delta times, then end-of-track. Simultaneous events are
+    ordered note-off first, then by pitch, so the byte stream is fully
+    determined by the notes. A delta time above MAX_DELTA has no Standard
+    MIDI encoding and is refused before anything is written.
     """
-    ticks_per_quarter = operator.index(ticks_per_quarter)
-    if not 24 <= ticks_per_quarter <= 960:
-        raise ValueError(f"ticks_per_quarter must be in [24, 960], got {ticks_per_quarter}")
     if not tempo_bpm > 0:
         raise ValueError(f"tempo_bpm must be > 0, got {tempo_bpm}")
     micros_per_quarter = round(60_000_000 / tempo_bpm)
@@ -248,7 +249,7 @@ def write_midi(notes: Notes, ticks_per_quarter: int, tempo_bpm: int, path) -> No
     end_of_track = b"\x00\xff\x2f\x00"
     track_size = len(tempo) + body.size + len(end_of_track)
     # chunk length 6, format 0, one track, ticks per quarter note
-    header = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, ticks_per_quarter)
+    header = struct.pack(">4sIHHH", b"MThd", 6, 0, 1, TICKS_PER_QUARTER)
     write_chunks(path, [header, b"MTrk" + track_size.to_bytes(4, "big"), tempo,
                         body.tobytes(), end_of_track])
 

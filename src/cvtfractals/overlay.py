@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionEstimate, estimate_dimension
-from .errors import InvalidPairError
 from .output import write_chunks
 from .radix import _check_base
 from .table import CellSet, _substitute
@@ -31,7 +30,6 @@ class OverlayReport:
     """Overflow generator of a consecutive-base overlay plus its measured dimension."""
 
     small_base: int
-    large_base: int
     overflow_cells: CellSet
     claimed_increment: float
     measured: DimensionEstimate
@@ -42,7 +40,7 @@ class OverlayReport:
         copies = len(self.overflow_cells)
         grid = self.overflow_cells.extent
         lines = [
-            f"overlay: base-{self.small_base} generator over base-{self.large_base} generator",
+            f"overlay: base-{self.small_base} generator over base-{self.small_base + 1} generator",
             f"overflow cells ({copies}): {cells}",
             f"claimed dimension increment: {self.claimed_increment:.6f}"
             " (3 copies at scale 1/2, the Sierpinski gasket value)",
@@ -55,17 +53,14 @@ class OverlayReport:
         return "\n".join(lines)
 
 
-def overflow_generator(small_base: int, large_base: int) -> CellSet:
+def overflow_generator(small_base: int) -> CellSet:
     """Cells of the base-(k+1) generator not covered by the corner-embedded base-k one.
 
-    Only consecutive bases are supported; the difference is the anti-diagonal
-    x + y = small_base, which has small_base + 1 cells.
+    k is small_base; the difference is the anti-diagonal x + y = k, which has
+    k + 1 cells.
     """
     small_base = _check_base(small_base)
-    large_base = operator.index(large_base)
-    if large_base != small_base + 1:
-        raise InvalidPairError(f"bases must be consecutive, got {small_base} and {large_base}")
-    return CellSet(large_base, 1, [(x, small_base - x) for x in range(large_base)])
+    return CellSet(small_base + 1, 1, [(x, small_base - x) for x in range(small_base + 1)])
 
 
 def iterate_overflow_fractal(gen: CellSet, depth: int) -> CellSet:
@@ -90,7 +85,7 @@ def analyze_overlay(small_base: int, depth: int) -> OverlayReport:
     The report always carries both the measured box-count slope and the
     claimed constant increment; neither value is substituted for the other.
     """
-    gen = overflow_generator(small_base, small_base + 1)
+    gen = overflow_generator(small_base)
     iterated = iterate_overflow_fractal(gen, depth)
     measured = estimate_dimension(iterated)
     copies = len(gen)
@@ -101,7 +96,6 @@ def analyze_overlay(small_base: int, depth: int) -> OverlayReport:
     )
     return OverlayReport(
         small_base=small_base,
-        large_base=small_base + 1,
         overflow_cells=gen,
         claimed_increment=CLAIMED_INCREMENT,
         measured=measured,

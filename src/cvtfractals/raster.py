@@ -89,10 +89,6 @@ def _pnm_chunks(image: RasterImage):
     yield from ascii_rows(image.pixels, " ")
 
 
-def _encode_pnm(image: RasterImage) -> bytes:
-    return b"".join(_pnm_chunks(image))
-
-
 def write_pnm(image: RasterImage, path) -> None:
     """Write ASCII PBM (P1) for bilevel images, ASCII PGM (P2) for gray.
 

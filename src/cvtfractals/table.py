@@ -46,9 +46,6 @@ class CvTable:
     def extent(self) -> int:
         return self.base**self.digits_k
 
-    def value(self, row: int, col: int) -> int:
-        return int(self.values[row, col])
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class CellSet:
@@ -71,22 +68,17 @@ class CellSet:
             raise ValueError(f"depth must be >= 0, got {depth}")
         _check_extent(base, depth, MAX_KEY_EXTENT, "grid")
         extent = base**depth
-        if isinstance(cells, np.ndarray) and cells.size:
-            if cells.ndim != 2 or cells.shape[1] != 2:
-                raise ValueError(f"cell array must have shape (n, 2), got {cells.shape}")
-            if not np.issubdtype(cells.dtype, np.integer):
-                raise TypeError(f"cell array must hold integers, got {cells.dtype}")
-            if (cells < 0).any() or (cells >= extent).any():
-                raise ValueError(f"cell coordinates out of range for extent {extent}")
-            pairs = cells.astype(np.int64, copy=False)
-        else:
-            checked = []
-            for r, c in cells:
-                r, c = operator.index(r), operator.index(c)
-                if not (0 <= r < extent and 0 <= c < extent):
-                    raise ValueError(f"cell ({r}, {c}) out of range for extent {extent}")
-                checked.append((r, c))
-            pairs = np.array(checked, dtype=np.int64).reshape(-1, 2)
+        # no dtype: forcing int64 here would truncate float cells instead of refusing them
+        pairs = cells if isinstance(cells, np.ndarray) else np.array(list(cells))
+        if not pairs.size:
+            pairs = np.zeros((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"cell array must have shape (n, 2), got {pairs.shape}")
+        if not np.issubdtype(pairs.dtype, np.integer):
+            raise ValueError(f"cells must be integers, got dtype {pairs.dtype}")
+        if (pairs < 0).any() or (pairs >= extent).any():
+            raise ValueError(f"cell coordinates out of range for extent {extent}")
+        pairs = pairs.astype(np.int64, copy=False)
         keys = pairs[:, 0] * extent
         keys += pairs[:, 1]
         keys = _sort_unique(keys)

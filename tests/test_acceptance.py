@@ -152,13 +152,13 @@ def test_criterion_06_monotone_limit_and_target(capsys):
 
 def test_criterion_07_overlay_procedure(capsys):
     failures = []
-    gen = overflow_generator(2, 3)
+    gen = overflow_generator(2)
     if gen.cells != ((0, 2), (1, 1), (2, 0)):
         failures.append(f"overflow(2,3) = {gen.cells}")
     if len(gen) != 3:
         failures.append(f"overflow(2,3) count {len(gen)}")
     for k in range(2, 10):
-        if len(overflow_generator(k, k + 1)) != k + 1:
+        if len(overflow_generator(k)) != k + 1:
             failures.append(f"overflow({k},{k+1}) count != {k + 1}")
     for small, depth in [(2, 6), (3, 5)]:
         report = analyze_overlay(small, depth)
@@ -197,8 +197,8 @@ def test_criterion_09_melody_midi(capsys, tmp_path):
         if len(notes) != brute_force_run_count(cells):
             failures.append(f"({base},{depth}): note count != run oracle")
         first, second = tmp_path / f"{base}a.mid", tmp_path / f"{base}b.mid"
-        write_midi(notes, ticks_per_quarter=480, tempo_bpm=120, path=first)
-        write_midi(notes, ticks_per_quarter=480, tempo_bpm=120, path=second)
+        write_midi(notes, tempo_bpm=120, path=first)
+        write_midi(notes, tempo_bpm=120, path=second)
         data = first.read_bytes()
         if data != second.read_bytes():
             failures.append(f"({base},{depth}): MIDI bytes unstable")

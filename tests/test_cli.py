@@ -119,15 +119,16 @@ def test_music_pipeline(capsys, tmp_path):
     code = run(
         [
             "music", "--base", "2", "--depth", "6",
-            "--scale", "major", "--base-pitch", "0",
-            "--ticks", "120", "--tempo", "100",
+            "--scale", "major", "--base-pitch", "0", "--tempo", "100",
             "--midi", str(midi), "--csv", str(csv_path), "--spectrum",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "notes" in out
-    assert "spectral exponent beta" in out
+    # the top voice is one 108 then 31 x 107, whose spectrum is flat
+    assert ("spectral exponent: undefined (spectrum is flat: every frequency bin"
+            " carries equal power)") in out
     data = midi.read_bytes()
     assert data.startswith(b"MThd")
     division, tempo_us, notes = parse_smf(data)
@@ -152,17 +153,6 @@ def test_music_byte_stable(tmp_path):
     assert run(args + [str(a)]) == 0
     assert run(args + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_music_refuses_ticks_beyond_the_midi_delta_limit(capsys, tmp_path):
-    midi = tmp_path / "m.mid"
-    argv = ["music", "--base", "2", "--depth", "2", "--ticks", "1000000000", "--midi", str(midi)]
-    assert run(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: ticks_per_cell must be in [1, 268435455], got 1000000000"]
-    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -204,7 +194,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_bad_flag_values_are_usage_errors(capsys):
     assert run(["cvt", "--base", "1", "3", "4"]) == 2
     assert run(["cvt", "--base", "x", "3", "4"]) == 2
-    assert run(["music", "--base", "2", "--depth", "3", "--division", "7", "--midi", "x.mid"]) == 2
+    assert run(["music", "--base", "2", "--depth", "3", "--base-pitch", "128",
+                "--midi", "x.mid"]) == 2
 
 
 def test_runtime_errors_exit_one(capsys, tmp_path):
@@ -241,6 +232,16 @@ def test_size_limits_are_not_flags(capsys, tmp_path, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run([*argv, "--max-extent", "4"]) == 2
     assert "unrecognized arguments: --max-extent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--ticks", "120"), ("--division", "480"),
+                                        ("--velocity", "100")])
+def test_midi_timing_is_not_a_flag(capsys, tmp_path, flag, value):
+    # each cell is a fixed sixteenth note at a fixed velocity; only --tempo is settable
+    midi = tmp_path / "m.mid"
+    assert run(["music", "--base", "2", "--depth", "1", "--midi", str(midi), flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not midi.exists()
 
 
 def test_negative_operand_rejected(capsys):

@@ -22,7 +22,7 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.output import ascii_rows, write_chunks
-from cvtfractals.raster import RasterImage, _encode_pnm
+from cvtfractals.raster import RasterImage, _pnm_chunks
 from helpers import csv_bytes, pnm_bytes
 
 EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255)
@@ -37,21 +37,22 @@ def table_csv_oracle(tab):
 class TestPnmBytes:
     @given(arrays(np.uint8, SHAPES, elements=st.integers(0, 1)))
     def test_bilevel_matches_oracle(self, pixels):
-        assert _encode_pnm(RasterImage(pixels, "bilevel")) == pnm_bytes(pixels, "bilevel")
+        image = RasterImage(pixels, "bilevel")
+        assert b"".join(_pnm_chunks(image)) == pnm_bytes(pixels, "bilevel")
 
     @given(arrays(np.uint8, SHAPES, elements=st.sampled_from(EDGE_VALUES) | st.integers(0, 255)))
     def test_gray_matches_oracle(self, pixels):
-        assert _encode_pnm(RasterImage(pixels, "gray")) == pnm_bytes(pixels, "gray")
+        assert b"".join(_pnm_chunks(RasterImage(pixels, "gray"))) == pnm_bytes(pixels, "gray")
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0)])
     @pytest.mark.parametrize("mode", ["bilevel", "gray"])
     def test_empty_shapes(self, shape, mode):
         pixels = np.zeros(shape, dtype=np.uint8)
-        assert _encode_pnm(RasterImage(pixels, mode)) == pnm_bytes(pixels, mode)
+        assert b"".join(_pnm_chunks(RasterImage(pixels, mode))) == pnm_bytes(pixels, mode)
 
     def test_wide_int64_gray(self):
         pixels = np.array([EDGE_VALUES, EDGE_VALUES[::-1]], dtype=np.int64)
-        assert _encode_pnm(RasterImage(pixels, "gray")) == (
+        assert b"".join(_pnm_chunks(RasterImage(pixels, "gray"))) == (
             b"P2\n7 2\n255\n0 1 9 10 99 100 255\n255 100 99 10 9 1 0\n"
         )
 
@@ -106,9 +107,10 @@ class TestAsciiRows:
         monkeypatch.setattr(output, "BLOCK_VALUES", block)
         rng = np.random.default_rng(block)
         gray = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)
-        assert _encode_pnm(RasterImage(gray, "gray")) == pnm_bytes(gray, "gray")
+        assert b"".join(_pnm_chunks(RasterImage(gray, "gray"))) == pnm_bytes(gray, "gray")
         bits = rng.integers(0, 2, size=(6, 7)).astype(np.uint8)
-        assert _encode_pnm(RasterImage(bits, "bilevel")) == pnm_bytes(bits, "bilevel")
+        image = RasterImage(bits, "bilevel")
+        assert b"".join(_pnm_chunks(image)) == pnm_bytes(bits, "bilevel")
         tab = build_table(3, 2)
         write_table_csv(tab, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
@@ -217,7 +219,7 @@ def every_writer(tmp_path):
         (raster, lambda: raster.write_pnm(image, path)),
         (table, lambda: table.write_table_csv(tab, path)),
         (table, lambda: table.write_cells_csv(cells, path)),
-        (melody, lambda: melody.write_midi(notes, 96, 120, path)),
+        (melody, lambda: melody.write_midi(notes, 120, path)),
         (melody, lambda: melody.write_notes_csv(notes, path)),
         (dimension, lambda: dimension.write_dimension_csv(estimate, path)),
         (overlay, lambda: overlay.write_overlay_report(report, path)),

@@ -5,7 +5,7 @@ import pytest
 from cvtfractals import (
     CellSet,
     InsufficientScalesError,
-    InvalidPairError,
+    InvalidBaseError,
     SizeLimitError,
     analyze_overlay,
     box_count,
@@ -19,41 +19,39 @@ from cvtfractals import (
 
 class TestOverflowGenerator:
     def test_binary_over_ternary(self):
-        gen = overflow_generator(2, 3)
+        gen = overflow_generator(2)
         assert gen.cells == ((0, 2), (1, 1), (2, 0))
         assert len(gen) == 3
 
     def test_ternary_over_quaternary(self):
-        assert overflow_generator(3, 4).cells == ((0, 3), (1, 2), (2, 1), (3, 0))
+        assert overflow_generator(3).cells == ((0, 3), (1, 2), (2, 1), (3, 0))
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_is_the_anti_diagonal(self, k):
-        gen = overflow_generator(k, k + 1)
+        gen = overflow_generator(k)
         assert set(gen.cells) == {(x, k - x) for x in range(k + 1)}
         assert len(gen) == k + 1
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_disjoint_union_rebuilds_large_generator(self, k):
-        overflow = set(overflow_generator(k, k + 1).cells)
+        overflow = set(overflow_generator(k).cells)
         small = set(zero_carry_set(k, 1).cells)
         large = set(zero_carry_set(k + 1, 1).cells)
         assert overflow & small == set()
         assert overflow | small == large
 
-    def test_rejects_non_consecutive(self):
-        with pytest.raises(InvalidPairError):
-            overflow_generator(2, 4)
-        with pytest.raises(InvalidPairError):
-            overflow_generator(3, 3)
+    def test_rejects_invalid_base(self):
+        with pytest.raises(InvalidBaseError):
+            overflow_generator(1)
 
 
 class TestIterateOverflowFractal:
     def test_depth_one_is_identity(self):
-        gen = overflow_generator(2, 3)
+        gen = overflow_generator(2)
         assert iterate_overflow_fractal(gen, 1).cells == gen.cells
 
     def test_depth_three_count(self):
-        assert len(iterate_overflow_fractal(overflow_generator(2, 3), 3)) == 27
+        assert len(iterate_overflow_fractal(overflow_generator(2), 3)) == 27
 
     def test_single_cell_generator(self):
         lone = CellSet(3, 1, [(1, 1)])
@@ -63,11 +61,11 @@ class TestIterateOverflowFractal:
 
     @pytest.mark.parametrize("k,depth", [(2, 4), (3, 3), (4, 2)])
     def test_count_law(self, k, depth):
-        gen = overflow_generator(k, k + 1)
+        gen = overflow_generator(k)
         assert len(iterate_overflow_fractal(gen, depth)) == len(gen) ** depth
 
     def test_substitution_self_similarity(self):
-        gen = overflow_generator(2, 3)
+        gen = overflow_generator(2)
         depth = 4
         iterated = iterate_overflow_fractal(gen, depth)
         for j in range(depth + 1):
@@ -75,11 +73,11 @@ class TestIterateOverflowFractal:
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
-            iterate_overflow_fractal(overflow_generator(2, 3), 0)
+            iterate_overflow_fractal(overflow_generator(2), 0)
 
     def test_extent_limit(self):
         with pytest.raises(SizeLimitError):
-            iterate_overflow_fractal(overflow_generator(2, 3), 14)  # 3**14 > 2**20
+            iterate_overflow_fractal(overflow_generator(2), 14)  # 3**14 > 2**20
 
 
 class TestAnalyzeOverlay:
@@ -115,7 +113,9 @@ class TestAnalyzeOverlay:
 
     def test_bases_recorded(self):
         report = analyze_overlay(4, 3)
-        assert (report.small_base, report.large_base) == (4, 5)
+        assert report.small_base == 4
+        assert report.overflow_cells.extent == 5
+        assert report.to_text().startswith("overlay: base-4 generator over base-5 generator\n")
 
 
 class TestOverlaySerialization:

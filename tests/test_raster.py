@@ -13,7 +13,7 @@ from cvtfractals import (
     write_pnm,
     zero_carry_set,
 )
-from cvtfractals.raster import _encode_pnm
+from cvtfractals.raster import _pnm_chunks
 from helpers import parse_pnm
 
 
@@ -132,7 +132,7 @@ class TestWritePnm:
         else:
             pixels = rng.integers(0, 256, size=(height, width)).astype(np.uint8)
             image = RasterImage(pixels, "gray")
-        mode, w, h, rows = parse_pnm(_encode_pnm(image))
+        mode, w, h, rows = parse_pnm(b"".join(_pnm_chunks(image)))
         assert (mode, w, h) == (image.mode, width, height)
         assert rows == pixels.tolist()
 

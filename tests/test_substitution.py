@@ -131,7 +131,7 @@ def test_triangle_limit_matches_the_pattern_count():
 
 
 def test_overflow_fractal_limits():
-    gen = overflow_generator(2, 3)
+    gen = overflow_generator(2)
     assert len(iterate_overflow_fractal(gen, 3)) == 27
     with pytest.raises(SizeLimitError, match="exceeds limit"):
         iterate_overflow_fractal(gen, 13)  # 3**13 > 2**20
@@ -146,4 +146,4 @@ def test_absurd_depth_is_refused_without_per_level_work(depth):
     with pytest.raises(SizeLimitError, match=rf"pattern extent 2\*\*{depth} exceeds limit"):
         carry_value_set(2, depth, 2)
     with pytest.raises(SizeLimitError, match=rf"pattern extent 3\*\*{depth} exceeds limit"):
-        iterate_overflow_fractal(overflow_generator(2, 3), depth)
+        iterate_overflow_fractal(overflow_generator(2), depth)

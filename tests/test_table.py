@@ -33,8 +33,8 @@ class TestBuildTable:
     def test_matches_direct_cvt_calls(self):
         table = build_table(2, 2)
         assert table.extent == 4
-        assert table.value(1, 1) == cvt(1, 1, 2) == 2
-        assert table.value(3, 3) == cvt(3, 3, 2) == 6
+        assert table.values[1, 1] == cvt(1, 1, 2) == 2
+        assert table.values[3, 3] == cvt(3, 3, 2) == 6
 
     def test_zero_row_and_column(self):
         table = build_table(2, 2)
@@ -53,7 +53,7 @@ class TestBuildTable:
         for _ in range(200):
             a = rng.randrange(table.extent)
             b = rng.randrange(table.extent)
-            assert table.value(a, b) == cvt(a, b, base)
+            assert table.values[a, b] == cvt(a, b, base)
 
     def test_symmetric(self):
         table = build_table(4, 2)
@@ -209,7 +209,7 @@ class TestCellSet:
     def test_rejects_malformed_arrays(self):
         with pytest.raises(ValueError):
             CellSet(2, 1, np.zeros((2, 3), dtype=np.int64))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             CellSet(2, 1, np.array([[0.5, 0.0]]))
         with pytest.raises(ValueError):
             CellSet(2, 1, np.array([[0, 2]]))
