@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from cvtfractals import (
+    SCALES,
     DegenerateSeriesError,
     InsufficientDataError,
     cells_to_notes,
@@ -39,7 +40,7 @@ def _beta(series) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("out"))
-    parser.add_argument("--scale", default="major")
+    parser.add_argument("--scale", choices=sorted(SCALES), default="major")
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from cvtfractals import (
+    CLAIMED_INCREMENT,
     analyze_overlay,
     build_table,
     cells_to_notes,
@@ -68,7 +69,7 @@ def overlay_reports(outdir: Path) -> None:
         path = outdir / f"overlay_{small}_to_{small + 1}.txt"
         write_overlay_report(report, path)
         print(
-            f"overlay {small}->{small + 1}: claimed {report.claimed_increment:.6f},"
+            f"overlay {small}->{small + 1}: claimed {CLAIMED_INCREMENT:.6f},"
             f" measured {report.measured.slope:.6f} -> {path}"
         )
 

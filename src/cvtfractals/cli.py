@@ -124,9 +124,8 @@ def _cmd_music(args) -> int:
     cells = table.zero_carry_set(args.base, args.depth)
     notes = melody.cells_to_notes(cells, scale=args.scale, base_pitch=args.base_pitch)
     print(f"zero-carry pattern base {args.base} depth {args.depth}: {len(notes)} notes")
-    if notes.clamped_low or notes.clamped_high:
-        print(f"note: clamped {notes.clamped_low + notes.clamped_high} of {len(notes)} pitches"
-              f" to the MIDI range ({notes.clamped_low} below 0, {notes.clamped_high} above 127)",
+    if notes.clamped_high:
+        print(f"note: clamped {notes.clamped_high} of {len(notes)} pitches above 127 to 127",
               file=sys.stderr)
     melody.write_midi(notes, tempo_bpm=args.tempo, path=args.midi)
     print(f"wrote {args.midi}")

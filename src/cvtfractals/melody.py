@@ -9,9 +9,8 @@ as 1/f**beta: 0 for white noise, about 1 for pink, 2 for Brownian.
 
 from __future__ import annotations
 
-import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -50,7 +49,6 @@ _COLUMN_BOUNDS = {
     "onset": (0, 2**62 - 1),
     "duration": (1, 2**62 - 1),
     "pitch": (0, 127),
-    "velocity": (1, 127),
 }
 # delta times that take one more VLQ byte each
 _VLQ_STEPS = np.array([2**7, 2**14, 2**21])
@@ -58,22 +56,20 @@ _VLQ_STEPS = np.array([2**7, 2**14, 2**21])
 
 @dataclass(frozen=True, eq=False)
 class Notes:
-    """A note table: four read-only int64 columns sorted by (onset, pitch).
+    """A note table: three read-only int64 columns sorted by (onset, pitch).
 
-    Each index is one note: onset and duration in ticks, MIDI pitch and MIDI
-    velocity. The constructor takes any four equal-length 1-D integer
-    sequences, checks each column's range once and stable-sorts the notes, so
-    notes tied on (onset, pitch) keep the order they were given in.
-    clamped_low and clamped_high count the pitches that were raised to 0 or
-    lowered to 127 to fit the MIDI range before the table was built.
+    Each index is one note: onset and duration in ticks and MIDI pitch; every
+    note sounds at velocity VELOCITY. The constructor takes any three
+    equal-length 1-D integer sequences, checks each column's range once and
+    stable-sorts the notes, so notes tied on (onset, pitch) keep the order
+    they were given in. clamped_high counts the pitches that were lowered to
+    127 to fit the MIDI range before the table was built.
     """
 
     onset: np.ndarray
     duration: np.ndarray
     pitch: np.ndarray
-    velocity: np.ndarray
-    clamped_low: int = 0
-    clamped_high: int = 0
+    clamped_high: int = field(default=0, kw_only=True)
 
     def __post_init__(self) -> None:
         columns = {name: _int64_column(name, getattr(self, name), lo, hi)
@@ -117,32 +113,23 @@ class SpectralReport:
     frequencies_used: int
 
 
-def resolve_scale(scale) -> tuple[int, ...]:
-    """Accept a scale name from SCALES or an explicit interval pattern."""
-    if isinstance(scale, str):
-        try:
-            return SCALES[scale]
-        except KeyError:
-            raise ValueError(f"unknown scale {scale!r}; choices: {sorted(SCALES)}") from None
-    intervals = tuple(operator.index(i) for i in scale)
-    if not intervals:
-        raise ValueError("scale must have at least one interval")
-    return intervals
-
-
-def cells_to_notes(cells: CellSet, scale="major", base_pitch: int = 60) -> Notes:
+def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -> Notes:
     """One note per maximal horizontal run of cells, sorted by (onset, pitch).
 
-    Each cell lasts TICKS_PER_CELL ticks and every note has velocity
-    VELOCITY. Rows map to scale degrees counted up from the bottom row at
-    base_pitch, clamped to the MIDI range and counted in the result's
-    clamped_low and clamped_high; overlapping notes from different rows are
+    Each cell lasts TICKS_PER_CELL ticks. Rows map to the degrees of the
+    named scale from SCALES, counted up from the bottom row at base_pitch
+    (a MIDI pitch, 0..127); pitches above 127 are lowered to 127 and counted
+    in the result's clamped_high. Overlapping notes from different rows are
     kept (the melody may be polyphonic). Notes tied on (onset, pitch) keep the
     row-major order of their runs.
     """
     if not len(cells):
         raise EmptyInputError("cannot render an empty cell set")
-    intervals = resolve_scale(scale)
+    if not (isinstance(scale, str) and scale in SCALES):
+        raise ValueError(f"unknown scale {scale!r}; choices: {sorted(SCALES)}")
+    if base_pitch not in range(128):
+        raise ValueError(f"base_pitch must be in [0, 127], got {base_pitch!r}")
+    intervals = SCALES[scale]
     rows, cols = np.divmod(cells.keys, cells.extent)
     # a run starts at every cell whose left neighbour is not in the set
     starts = np.ones(rows.size, dtype=bool)
@@ -150,17 +137,13 @@ def cells_to_notes(cells: CellSet, scale="major", base_pitch: int = 60) -> Notes
     first = np.flatnonzero(starts)
     lengths = np.diff(first, append=rows.size)
     octave, degree = np.divmod(cells.extent - 1 - rows[first], len(intervals))
-    # 12 * octave stays below 2**36, so limiting each degree's pitch to +-2**40
-    # keeps the int64 sum from wrapping without changing any clamped pitch
-    degree_pitch = np.array([min(max(base_pitch + i, -(2**40)), 2**40) for i in intervals])
-    pitch = degree_pitch[degree] + 12 * octave
-    # columns stay below 2**31, so the tick products fit int64
+    # rows and columns stay below 2**31, so neither the pitch sum nor the
+    # tick products can wrap int64, and no pitch falls below base_pitch
+    pitch = (base_pitch + np.array(intervals))[degree] + 12 * octave
     return Notes(
         cols[first] * TICKS_PER_CELL,
         lengths * TICKS_PER_CELL,
-        np.clip(pitch, 0, 127),
-        np.full(first.size, VELOCITY),
-        clamped_low=int(np.count_nonzero(pitch < 0)),
+        np.minimum(pitch, 127),
         clamped_high=int(np.count_nonzero(pitch > 127)),
     )
 
@@ -228,7 +211,7 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     tick = np.concatenate((notes.onset + notes.duration, notes.onset))
     event = np.concatenate((
         0x80_00_00 | notes.pitch << 8 | _NOTE_OFF_VELOCITY,
-        0x90_00_00 | notes.pitch << 8 | notes.velocity,
+        0x90_00_00 | notes.pitch << 8 | VELOCITY,
     ))
     order = np.lexsort((event, tick))
     event = event[order]
@@ -255,8 +238,12 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
 
 
 def write_notes_csv(notes: Notes, path) -> None:
-    """CSV with header onset,duration,pitch,velocity, one row per note in table order."""
-    columns = np.column_stack((notes.onset, notes.duration, notes.pitch, notes.velocity))
+    """CSV with header onset,duration,pitch,velocity, one row per note in table order.
+
+    The velocity column holds VELOCITY, the velocity write_midi gives every note.
+    """
+    velocity = np.full(len(notes), VELOCITY)
+    columns = np.column_stack((notes.onset, notes.duration, notes.pitch, velocity))
     write_chunks(path, chain([b"onset,duration,pitch,velocity\n"], ascii_rows(columns, ",")))
 
 

@@ -27,28 +27,33 @@ CLAIMED_INCREMENT = math.log(3) / math.log(2)
 
 @dataclass(frozen=True)
 class OverlayReport:
-    """Overflow generator of a consecutive-base overlay plus its measured dimension."""
+    """Overflow generator of a consecutive-base overlay plus its measured dimension.
 
-    small_base: int
+    The base-k overlay's generator lies on a (k+1)-wide grid; the text puts
+    the measured slope next to CLAIMED_INCREMENT, neither substituted for the
+    other.
+    """
+
     overflow_cells: CellSet
-    claimed_increment: float
     measured: DimensionEstimate
-    commentary: str
 
     def to_text(self) -> str:
         cells = ", ".join(f"({r}, {c})" for r, c in self.overflow_cells)
         copies = len(self.overflow_cells)
         grid = self.overflow_cells.extent
+        slope = self.measured.slope
         lines = [
-            f"overlay: base-{self.small_base} generator over base-{self.small_base + 1} generator",
+            f"overlay: base-{grid - 1} generator over base-{grid} generator",
             f"overflow cells ({copies}): {cells}",
-            f"claimed dimension increment: {self.claimed_increment:.6f}"
+            f"claimed dimension increment: {CLAIMED_INCREMENT:.6f}"
             " (3 copies at scale 1/2, the Sierpinski gasket value)",
-            f"measured box-count dimension: {self.measured.slope:.6f}"
+            f"measured box-count dimension: {slope:.6f}"
             f" (fit quality {self.measured.fit_quality:.6f})",
             f"substitution law: log({copies})/log({grid})"
             f" = {math.log(copies) / math.log(grid):.6f}",
-            self.commentary,
+            f"note: the claimed increment assumes 3 copies at scale 1/2; on its own "
+            f"{grid}-wide grid this generator substitutes {copies} copies at "
+            f"scale 1/{grid}, which measures {slope:.6f}.",
         ]
         return "\n".join(lines)
 
@@ -80,27 +85,9 @@ def iterate_overflow_fractal(gen: CellSet, depth: int) -> CellSet:
 
 
 def analyze_overlay(small_base: int, depth: int) -> OverlayReport:
-    """Build the overflow generator, iterate it, and measure its dimension.
-
-    The report always carries both the measured box-count slope and the
-    claimed constant increment; neither value is substituted for the other.
-    """
+    """Build the overflow generator, iterate it, and measure its dimension."""
     gen = overflow_generator(small_base)
-    iterated = iterate_overflow_fractal(gen, depth)
-    measured = estimate_dimension(iterated)
-    copies = len(gen)
-    commentary = (
-        f"note: the claimed increment assumes 3 copies at scale 1/2; on its own "
-        f"{gen.extent}-wide grid this generator substitutes {copies} copies at "
-        f"scale 1/{gen.extent}, which measures {measured.slope:.6f}."
-    )
-    return OverlayReport(
-        small_base=small_base,
-        overflow_cells=gen,
-        claimed_increment=CLAIMED_INCREMENT,
-        measured=measured,
-        commentary=commentary,
-    )
+    return OverlayReport(gen, estimate_dimension(iterate_overflow_fractal(gen, depth)))
 
 
 def write_overlay_report(report: OverlayReport, path) -> None:

@@ -37,20 +37,17 @@ def _check_value(name: str, value: int) -> int:
     return value
 
 
-def to_digits(value: int, base: int, min_width: int = 0) -> tuple[int, ...]:
+def to_digits(value: int, base: int) -> tuple[int, ...]:
     """Digits of a non-negative integer in base `base`, least significant first.
 
-    Zero has no digits; the result is zero padded to at least `min_width` digits.
+    Zero has no digits.
     """
     base = _check_base(base)
     value = _check_value("value", value)
-    min_width = _check_value("min_width", min_width)
     digits = []
     while value:
         value, d = divmod(value, base)
         digits.append(d)
-    while len(digits) < min_width:
-        digits.append(0)
     return tuple(digits)
 
 

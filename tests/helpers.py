@@ -165,15 +165,15 @@ def _smf_vlq(value: int) -> bytes:
 
 
 def reference_midi(rows, ticks_per_quarter: int, tempo_bpm) -> bytes:
-    """Format-0 Standard MIDI File of (onset, duration, pitch, velocity) rows.
+    """Format-0 Standard MIDI File of (onset, duration, pitch) rows.
 
-    One event at a time: a set-tempo meta event, then a note-on (0x90) and a
-    note-off (0x80, velocity 64) per row in time order, note-offs first at
-    equal times, then by pitch and velocity, then end-of-track.
+    One event at a time: a set-tempo meta event, then a note-on (0x90,
+    velocity 100) and a note-off (0x80, velocity 64) per row in time order,
+    note-offs first at equal times, then by pitch, then end-of-track.
     """
     events = []
-    for onset, duration, pitch, velocity in rows:
-        events.append((onset, 0x90, pitch, velocity))
+    for onset, duration, pitch in rows:
+        events.append((onset, 0x90, pitch, 100))
         events.append((onset + duration, 0x80, pitch, 64))
     events.sort()
     micros = round(60_000_000 / tempo_bpm)

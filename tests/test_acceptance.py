@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from cvtfractals import (
+    CLAIMED_INCREMENT,
     analyze_overlay,
     base_for_target_dimension,
     build_table,
@@ -169,7 +170,7 @@ def test_criterion_07_overlay_procedure(capsys):
                 f"overlay({small}) slope {report.measured.slope} vs log{copies}/log{copies}"
             )
         text = report.to_text()
-        if f"{report.claimed_increment:.6f}" not in text or f"{report.measured.slope:.6f}" not in text:
+        if f"{CLAIMED_INCREMENT:.6f}" not in text or f"{report.measured.slope:.6f}" not in text:
             failures.append(f"overlay({small}) report missing claimed or measured value")
     with capsys.disabled():
         _verdict(7, "overflow generators exact; measured slope log N / log extent", failures)

@@ -10,11 +10,11 @@ from cvtfractals import (
     DegenerateSeriesError,
     EmptyInputError,
     InsufficientDataError,
+    SCALES,
     Notes,
     cells_to_notes,
     pitch_series,
     read_series_csv,
-    resolve_scale,
     spectral_exponent,
     write_midi,
     write_notes_csv,
@@ -34,14 +34,18 @@ CSV_HEADER = "onset,duration,pitch,velocity"
 
 
 def note_rows(notes):
-    """The notes as (onset, duration, pitch, velocity) tuples in table order."""
-    return list(zip(notes.onset.tolist(), notes.duration.tolist(),
-                    notes.pitch.tolist(), notes.velocity.tolist()))
+    """The notes as (onset, duration, pitch) tuples in table order."""
+    return list(zip(notes.onset.tolist(), notes.duration.tolist(), notes.pitch.tolist()))
 
 
 def make_notes(*rows):
-    """Notes from (onset, duration, pitch, velocity) tuples."""
-    return Notes(*(list(col) for col in zip(*rows))) if rows else Notes([], [], [], [])
+    """Notes from (onset, duration, pitch) tuples."""
+    return Notes(*(list(col) for col in zip(*rows))) if rows else Notes([], [], [])
+
+
+def csv_rows(rows):
+    """(onset, duration, pitch) rows as written to CSV, every note at velocity 100."""
+    return [row + (100,) for row in rows]
 
 
 class TestCellsToNotes:
@@ -49,11 +53,11 @@ class TestCellsToNotes:
         notes = cells_to_notes(zero_carry_set(2, 1))
         assert len(notes) == 2
         # bottom row maps to the base pitch, the row above to the next degree
-        assert note_rows(notes) == [(0, 120, 60, 100), (0, 240, 62, 100)]
+        assert note_rows(notes) == [(0, 120, 60), (0, 240, 62)]
 
     def test_single_cell(self):
         notes = cells_to_notes(CellSet(2, 0, [(0, 0)]))
-        assert note_rows(notes) == [(0, 120, 60, 100)]
+        assert note_rows(notes) == [(0, 120, 60)]
 
     def test_full_row_is_one_note(self):
         extent = 8
@@ -98,11 +102,8 @@ class TestCellsToNotes:
         st.integers(min_value=2, max_value=5),
         st.integers(min_value=0, max_value=3),
         st.data(),
-        st.one_of(
-            st.sampled_from(["major", "pentatonic"]),
-            st.lists(st.integers(), min_size=1, max_size=7).map(tuple),
-        ),
-        st.one_of(st.integers(min_value=-40, max_value=140), st.integers()),
+        st.sampled_from(sorted(SCALES)),
+        st.integers(min_value=0, max_value=127),
     )
     @settings(max_examples=60)
     def test_notes_match_run_walk(self, base, depth, data, scale, base_pitch):
@@ -110,49 +111,52 @@ class TestCellsToNotes:
         coord = st.integers(min_value=0, max_value=extent - 1)
         pairs = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
         cells = CellSet(base, depth, pairs)
-        intervals = resolve_scale(scale)
+        intervals = SCALES[scale]
         expected = []
-        low = high = 0
+        high = 0
         for row, start, length in brute_force_runs(pairs):
             octave, degree = divmod(extent - 1 - row, len(intervals))
             raw = base_pitch + 12 * octave + intervals[degree]
-            low += raw < 0
             high += raw > 127
-            expected.append((start * 120, length * 120, max(0, min(127, raw)), 100))
+            expected.append((start * 120, length * 120, min(127, raw)))
         # stable: notes tied on (onset, pitch) keep the row-major order of their runs
         expected.sort(key=lambda n: (n[0], n[2]))
         notes = cells_to_notes(cells, scale=scale, base_pitch=base_pitch)
         assert len(notes) == brute_force_run_count(pairs)
         assert note_rows(notes) == expected
-        assert (notes.clamped_low, notes.clamped_high) == (low, high)
+        assert notes.clamped_high == high
 
     def test_scale_degrees(self):
         cells = CellSet(8, 1, [(row, 0) for row in range(8)])
         notes = cells_to_notes(cells, scale="major", base_pitch=60)
         assert sorted(notes.pitch.tolist()) == [60, 62, 64, 65, 67, 69, 71, 72]
 
-    def test_named_and_explicit_scales_agree(self):
-        cells = zero_carry_set(3, 2)
-        named = cells_to_notes(cells, scale="minor")
-        explicit = cells_to_notes(cells, scale=(0, 2, 3, 5, 7, 8, 10))
-        assert note_rows(named) == note_rows(explicit)
-
     def test_unknown_scale(self):
-        with pytest.raises(ValueError):
-            resolve_scale("dorian-ish")
+        with pytest.raises(ValueError, match="unknown scale"):
+            cells_to_notes(zero_carry_set(3, 2), scale="dorian-ish")
+
+    @pytest.mark.parametrize("scale", [(0, 2, 3, 5, 7, 8, 10), [0, 2, 4]], ids=["tuple", "list"])
+    def test_refuses_explicit_intervals(self, scale):
+        with pytest.raises(ValueError, match="unknown scale"):
+            cells_to_notes(zero_carry_set(3, 2), scale=scale)
+
+    @pytest.mark.parametrize("base_pitch", [-1, 128])
+    def test_refuses_base_pitch_outside_midi_range(self, base_pitch):
+        with pytest.raises(ValueError, match=r"base_pitch must be in \[0, 127\]"):
+            cells_to_notes(zero_carry_set(3, 2), base_pitch=base_pitch)
 
 
 class TestPitchSeries:
     def test_max_reduction_at_shared_onset(self):
-        notes = make_notes((0, 120, 60, 100), (0, 120, 64, 100))
+        notes = make_notes((0, 120, 60), (0, 120, 64))
         assert pitch_series(notes) == [64.0]
 
     def test_sequential_onsets(self):
-        notes = make_notes((0, 120, 60, 100), (120, 120, 62, 100), (240, 120, 64, 100))
+        notes = make_notes((0, 120, 60), (120, 120, 62), (240, 120, 64))
         assert pitch_series(notes) == [60.0, 62.0, 64.0]
 
     def test_held_note_does_not_mask_later_onsets(self):
-        notes = make_notes((0, 500, 70, 100), (100, 100, 50, 100))
+        notes = make_notes((0, 500, 70), (100, 100, 50))
         assert pitch_series(notes) == [70.0, 50.0]
 
     def test_length_is_distinct_onset_count(self):
@@ -241,7 +245,7 @@ class TestWriteMidi:
 
     def test_single_note_deltas(self, tmp_path):
         path = tmp_path / "one.mid"
-        write_midi(make_notes((0, 120, 60, 100)), tempo_bpm=120, path=path)
+        write_midi(make_notes((0, 120, 60)), tempo_bpm=120, path=path)
         data = path.read_bytes()
         # after the tempo event: delta 0 note-on 60, delta 120 note-off 60
         assert b"\x00\x90\x3c\x64\x78\x80\x3c\x40" in data
@@ -262,7 +266,7 @@ class TestWriteMidi:
         path = tmp_path / "rt.mid"
         write_midi(notes, tempo_bpm=120, path=path)
         _, _, parsed = parse_smf(path.read_bytes())
-        assert sorted(parsed) == sorted(row[:3] for row in note_rows(notes))
+        assert sorted(parsed) == sorted(note_rows(notes))
 
     def test_byte_stable(self, tmp_path):
         notes = cells_to_notes(zero_carry_set(3, 2))
@@ -272,7 +276,7 @@ class TestWriteMidi:
         assert a.read_bytes() == b.read_bytes()
 
     def test_simultaneous_offs_precede_ons(self, tmp_path):
-        notes = make_notes((0, 100, 60, 90), (100, 100, 62, 90))
+        notes = make_notes((0, 100, 60), (100, 100, 62))
         path = tmp_path / "seq.mid"
         write_midi(notes, tempo_bpm=120, path=path)
         data = path.read_bytes()
@@ -292,7 +296,7 @@ class TestWriteMidi:
         assert not path.exists()
 
     def test_long_delta_uses_vlq(self, tmp_path):
-        notes = make_notes((0, 100, 60, 90), (100_000, 50, 61, 90))
+        notes = make_notes((0, 100, 60), (100_000, 50, 61))
         path = tmp_path / "vlq.mid"
         write_midi(notes, tempo_bpm=120, path=path)
         _, _, parsed = parse_smf(path.read_bytes())
@@ -307,7 +311,7 @@ class TestNotesCsv:
 
     def test_single_note(self, tmp_path):
         path = tmp_path / "notes.csv"
-        write_notes_csv(make_notes((0, 120, 60, 100)), path)
+        write_notes_csv(make_notes((0, 120, 60)), path)
         assert path.read_bytes() == b"onset,duration,pitch,velocity\n0,120,60,100\n"
 
     def test_round_trip(self, tmp_path):
@@ -316,7 +320,7 @@ class TestNotesCsv:
         write_notes_csv(notes, path)
         lines = path.read_text().splitlines()
         parsed = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
-        assert parsed == note_rows(notes)
+        assert parsed == csv_rows(note_rows(notes))
 
 
 class TestReadSeriesCsv:
@@ -341,19 +345,19 @@ class TestNotes:
     @pytest.mark.parametrize(
         "columns",
         [
-            ([-1], [1], [60], [100]),
-            ([0], [0], [60], [100]),
-            ([0], [1], [128], [100]),
-            ([0], [1], [60], [0]),
-            ([0], [1], [-1], [100]),
-            ([0], [1], [60], [128]),
-            ([2**62], [1], [60], [100]),
-            ([0], [2**63], [60], [100]),
-            ([0], [1], [2**70], [100]),
-            ([0.5], [1], [60], [100]),
-            ([[0]], [[1]], [[60]], [[100]]),
-            ([0, 1], [1], [60], [100]),
-            ([0], [1, 1], [60, 60], [100, 100]),
+            ([-1], [1], [60]),
+            ([0], [0], [60]),
+            ([0], [1], [128]),
+            ([0], [1], [60.0]),
+            ([0], [1], [-1]),
+            ([0], [1], []),
+            ([2**62], [1], [60]),
+            ([0], [2**63], [60]),
+            ([0], [1], [2**70]),
+            ([0.5], [1], [60]),
+            ([[0]], [[1]], [[60]]),
+            ([0, 1], [1], [60]),
+            ([0], [1, 1], [60, 60]),
         ],
     )
     def test_refuses_malformed_columns(self, columns):
@@ -362,18 +366,23 @@ class TestNotes:
 
     def test_columns_are_read_only_int64_copies(self):
         onset = np.array([5, 0])
-        notes = Notes(onset, [1, 2], [60, 61], [100, 90])
+        notes = Notes(onset, [1, 2], [60, 61])
         onset[0] = 99
-        assert note_rows(notes) == [(0, 2, 61, 90), (5, 1, 60, 100)]
-        for col in (notes.onset, notes.duration, notes.pitch, notes.velocity):
+        assert note_rows(notes) == [(0, 2, 61), (5, 1, 60)]
+        for col in (notes.onset, notes.duration, notes.pitch):
             assert col.dtype == np.int64
             with pytest.raises(ValueError):
                 col[0] = 1
 
     def test_stable_sort_by_onset_then_pitch(self):
-        notes = make_notes((3, 1, 60, 1), (0, 9, 70, 2), (0, 4, 70, 3), (0, 2, 50, 4))
-        assert note_rows(notes) == [(0, 2, 50, 4), (0, 9, 70, 2), (0, 4, 70, 3), (3, 1, 60, 1)]
+        notes = make_notes((3, 1, 60), (0, 9, 70), (0, 4, 70), (0, 2, 50))
+        assert note_rows(notes) == [(0, 2, 50), (0, 9, 70), (0, 4, 70), (3, 1, 60)]
         assert len(notes) == 4
+
+    def test_refuses_a_velocity_column(self):
+        # every note sounds at one velocity; clamped_high is keyword-only
+        with pytest.raises(TypeError):
+            Notes([0], [1], [60], [100])
 
 
 BOUNDARY_DELTAS = [0, 1, 2**7 - 1, 2**7, 2**14 - 1, 2**14, 2**21 - 1, 2**21, MAX_DELTA]
@@ -382,7 +391,7 @@ delta_st = st.one_of(st.sampled_from(BOUNDARY_DELTAS), st.integers(0, MAX_DELTA)
 
 @st.composite
 def note_rows_st(draw):
-    """(onset, duration, pitch, velocity) rows in any order, every MIDI delta <= MAX_DELTA.
+    """(onset, duration, pitch) rows in any order, every MIDI delta <= MAX_DELTA.
 
     Onsets step by at most MAX_DELTA and notes last at most MAX_DELTA, so any
     two adjacent event times are at most MAX_DELTA apart.
@@ -392,7 +401,7 @@ def note_rows_st(draw):
         onset += draw(delta_st)
         duration = draw(st.one_of(st.sampled_from(BOUNDARY_DELTAS[1:]), st.integers(1, 300)))
         pitch = draw(st.one_of(st.sampled_from([0, 60, 61, 127]), st.integers(0, 127)))
-        rows.append((onset, duration, pitch, draw(st.integers(1, 127))))
+        rows.append((onset, duration, pitch))
     return draw(st.permutations(rows))
 
 
@@ -414,16 +423,16 @@ class TestColumnarOracles:
 
     @pytest.mark.parametrize("delta", BOUNDARY_DELTAS)
     def test_every_vlq_length(self, tmp_path, delta):
-        rows = [(delta, 1, 60, 100), (delta + 1 + delta, 3, 61, 90)]
+        rows = [(delta, 1, 60), (delta + 1 + delta, 3, 61)]
         path = tmp_path / "d.mid"
         write_midi(make_notes(*rows), tempo_bpm=120, path=path)
         assert path.read_bytes() == reference_midi(rows, 480, 120)
-        assert sorted(parse_smf(path.read_bytes())[2]) == [r[:3] for r in rows]
+        assert sorted(parse_smf(path.read_bytes())[2]) == rows
 
     @pytest.mark.parametrize("rows", [
-        [(MAX_DELTA + 1, 1, 60, 100)],
-        [(0, 1, 60, 100), (MAX_DELTA + 2, 1, 60, 100)],
-        [(0, MAX_DELTA + 1, 60, 100)],
+        [(MAX_DELTA + 1, 1, 60)],
+        [(0, 1, 60), (MAX_DELTA + 2, 1, 60)],
+        [(0, MAX_DELTA + 1, 60)],
     ])
     def test_refuses_delta_beyond_smf_limit(self, tmp_path, rows):
         path = tmp_path / "d.mid"
@@ -437,7 +446,7 @@ class TestColumnarOracles:
         path = tmp_path_factory.mktemp("csv") / "n.csv"
         write_notes_csv(make_notes(*rows), path)
         expected = sorted(rows, key=lambda row: (row[0], row[2]))
-        assert path.read_bytes() == csv_bytes(expected, header=CSV_HEADER)
+        assert path.read_bytes() == csv_bytes(csv_rows(expected), header=CSV_HEADER)
 
     @given(note_rows_st().filter(bool))
     @settings(max_examples=60, deadline=None)

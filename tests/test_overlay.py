@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from cvtfractals import (
+    CLAIMED_INCREMENT,
     CellSet,
     InsufficientScalesError,
     InvalidBaseError,
@@ -105,17 +107,20 @@ class TestAnalyzeOverlay:
 
     def test_report_carries_both_values(self):
         report = analyze_overlay(2, 5)
-        assert report.claimed_increment == pytest.approx(1.585, abs=1e-3)
+        assert CLAIMED_INCREMENT == pytest.approx(1.585, abs=1e-3)
         text = report.to_text()
-        assert f"{report.claimed_increment:.6f}" in text
-        assert f"{report.measured.slope:.6f}" in text
-        assert report.commentary in text
+        assert f"claimed dimension increment: {CLAIMED_INCREMENT:.6f}" in text
+        assert f"measured box-count dimension: {report.measured.slope:.6f}" in text
+        assert text.endswith(f"scale 1/3, which measures {report.measured.slope:.6f}.")
 
     def test_bases_recorded(self):
         report = analyze_overlay(4, 3)
-        assert report.small_base == 4
         assert report.overflow_cells.extent == 5
         assert report.to_text().startswith("overlay: base-4 generator over base-5 generator\n")
+
+    def test_report_holds_generator_and_measurement(self):
+        report = analyze_overlay(2, 3)
+        assert [f.name for f in fields(report)] == ["overflow_cells", "measured"]
 
 
 class TestOverlaySerialization:

@@ -16,29 +16,25 @@ bases = st.integers(min_value=2, max_value=1000)
 
 class TestToDigits:
     def test_thirteen_binary(self):
-        assert to_digits(13, 2, 0) == (1, 0, 1, 1)  # (1101) base 2
+        assert to_digits(13, 2) == (1, 0, 1, 1)  # (1101) base 2
 
     def test_thirteen_ternary(self):
-        assert to_digits(13, 3, 0) == (1, 1, 1)  # (111) base 3
-
-    def test_zero_padding(self):
-        assert to_digits(0, 7, 3) == (0, 0, 0)
+        assert to_digits(13, 3) == (1, 1, 1)  # (111) base 3
 
     def test_zero_is_empty(self):
         assert to_digits(0, 5) == ()
 
     def test_invalid_base(self):
         with pytest.raises(InvalidBaseError):
-            to_digits(13, 1, 0)
+            to_digits(13, 1)
 
     def test_negative_value(self):
         with pytest.raises(ValueError):
             to_digits(-1, 2)
 
-    @given(values, bases, st.integers(min_value=0, max_value=40))
-    def test_round_trip(self, value, base, min_width):
-        digits = to_digits(value, base, min_width)
-        assert len(digits) >= min_width
+    @given(values, bases)
+    def test_round_trip(self, value, base):
+        digits = to_digits(value, base)
         assert all(0 <= d < base for d in digits)
         assert from_digits(digits, base) == value
 

@@ -1,10 +1,13 @@
-"""The shipped scripts and the README's library example, run as written.
+"""The shipped scripts, the README's library example and the benchmark's
+declared layer names, checked against the package as it is.
 
 The expected stdout and file digests were taken from the scripts before their
 settings became module constants; any change to a script's output shows here.
 """
 
 import hashlib
+import importlib
+import json
 import re
 import runpy
 from pathlib import Path
@@ -80,3 +83,27 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     assert {p.name for p in tmp_path.iterdir()} == {"base3.pbm", "base3.mid"}
+
+
+def test_melody_sweep_refuses_unknown_scale_before_writing(capsys, tmp_path):
+    main = runpy.run_path(str(ROOT / "scripts" / "melody_sweep.py"))["main"]
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--outdir", str(outdir), "--scale", "dorian"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dorian'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def _declared_functions():
+    """(layer, function) of every `<layer>.<function>.s` per-layer metric in BENCHMARK.json."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    parts = [metric["name"].split(".") for metric in declared]
+    return [pytest.param(p[0], p[1], id=f"{p[0]}.{p[1]}")
+            for p in parts if len(p) == 3 and p[2] == "s"]
+
+
+@pytest.mark.parametrize("layer,function", _declared_functions())
+def test_benchmark_layer_function_exists(layer, function):
+    # the traced benchmark fails when a declared layer function is missing
+    assert callable(getattr(importlib.import_module(f"cvtfractals.{layer}"), function, None))
