@@ -10,8 +10,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import dimension, melody, overlay, radix, raster, table
 from .errors import CvtError, DegenerateSeriesError, InsufficientDataError
 
@@ -63,8 +61,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fractal(args) -> int:
-    if args.value is not None and args.depth < 1:
-        print("error: --value needs --depth >= 1", file=sys.stderr)
+    if args.value and args.depth < 1:
+        print(f"error: --value {args.value} needs --depth >= 1", file=sys.stderr)
         return 2
     value = args.value or 0
     cells = table.carry_value_set(args.base, args.depth, value)
@@ -80,16 +78,18 @@ def _cmd_fractal(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
+    # usage errors come before any output, so a refused run prints nothing
+    for flag in ("report", "depth"):
+        if getattr(args, flag) is not None and not args.estimate:
+            print(f"error: --{flag} requires --estimate", file=sys.stderr)
+            return 2
+    if args.estimate and args.depth is None:
+        print("error: --estimate requires --depth", file=sys.stderr)
+        return 2
     closed = dimension.similarity_dimension(args.base)
     print(f"similarity dimension (base {args.base}) = {closed:.6f}")
     print(f"gap below plane dimension 2 = {dimension.dimension_gap(args.base):.6f}")
-    if args.report and not args.estimate:
-        print("error: --report requires --estimate", file=sys.stderr)
-        return 2
     if args.estimate:
-        if args.depth is None:
-            print("error: --estimate requires --depth", file=sys.stderr)
-            return 2
         cells = table.zero_carry_set(args.base, args.depth)
         est = dimension.estimate_dimension(cells)
         print(f"box-count estimate (depth {args.depth}) = {est.slope:.6f}"
@@ -150,15 +150,6 @@ def _print_spectrum(report) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.selftest:
-        rng = np.random.default_rng(args.seed)
-        white = rng.uniform(size=args.length)
-        walk = np.cumsum(white)
-        for name, series in (("white noise", white), ("random walk", walk)):
-            report = melody.spectral_exponent(series)
-            print(f"{name} (seed {args.seed}, length {args.length}):"
-                  f" beta = {report.beta:.4f} (fit quality {report.fit_quality:.4f})")
-        return 0
     series = melody.read_series_csv(args.series)
     _print_spectrum(melody.spectral_exponent(series))
     return 0
@@ -226,12 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_music)
 
     p = sub.add_parser("spectrum", help="spectral exponent of a series")
-    p.add_argument("--in", dest="series", metavar="SERIES.csv",
+    p.add_argument("--in", dest="series", metavar="SERIES.csv", required=True,
                    help="CSV with one value per line (optional header)")
-    p.add_argument("--selftest", action="store_true",
-                   help="fit seeded white-noise and random-walk series instead")
-    p.add_argument("--seed", type=_nonneg_arg, default=0)
-    p.add_argument("--length", type=_int_arg(melody.MIN_SPECTRUM_LENGTH), default=4096)
     p.set_defaults(func=_cmd_spectrum)
 
     return parser
@@ -243,9 +230,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "spectrum" and bool(args.series) == bool(args.selftest):
-        print("error: spectrum needs exactly one of --in or --selftest", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (CvtError, ValueError, OSError) as exc:

@@ -12,7 +12,6 @@ All operations are pure and exact for arbitrarily large operands.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
 
 from .errors import InvalidBaseError
 
@@ -34,32 +33,6 @@ def _check_value(name: str, value: int) -> int:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}") from None
     if value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
-    return value
-
-
-def to_digits(value: int, base: int) -> tuple[int, ...]:
-    """Digits of a non-negative integer in base `base`, least significant first.
-
-    Zero has no digits.
-    """
-    base = _check_base(base)
-    value = _check_value("value", value)
-    digits = []
-    while value:
-        value, d = divmod(value, base)
-        digits.append(d)
-    return tuple(digits)
-
-
-def from_digits(digits: Sequence[int], base: int) -> int:
-    """Evaluate a least-significant-first digit vector as an integer."""
-    base = _check_base(base)
-    value = 0
-    for d in reversed(digits):
-        d = operator.index(d)
-        if not 0 <= d < base:
-            raise ValueError(f"digit {d} out of range for base {base}")
-        value = value * base + d
     return value
 
 

@@ -53,8 +53,8 @@ class CellSet:
 
     The cells are held as one read-only, sorted, duplicate-free int64 array
     `keys` of row * extent + col, so row-major order is key order. Accepts any
-    iterable of pairs, including an (n, 2) integer numpy array. `cells` and
-    iteration build (row, col) tuples on demand.
+    iterable of pairs, including an (n, 2) integer numpy array. Iteration
+    builds sorted (row, col) tuples on demand.
     """
 
     base: int
@@ -100,11 +100,6 @@ class CellSet:
     @property
     def extent(self) -> int:
         return self.base**self.depth
-
-    @property
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """The cells as sorted (row, col) tuples, built on each access."""
-        return tuple(self)
 
     def __len__(self) -> int:
         return self.keys.size

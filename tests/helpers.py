@@ -7,6 +7,15 @@ without reusing any code path from the package under test.
 from __future__ import annotations
 
 
+def digits(value: int, base: int) -> list[int]:
+    """Base-`base` digits of a non-negative integer, least significant first; 0 has none."""
+    out = []
+    while value:
+        value, d = divmod(value, base)
+        out.append(d)
+    return out
+
+
 def brute_force_box_count(cells, extent: int, box_size: int) -> int:
     """Count occupied boxes by scanning every aligned box explicitly."""
     occupied = set(cells)

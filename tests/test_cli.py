@@ -45,7 +45,20 @@ def test_dimension_estimate_and_report(capsys, tmp_path):
 def test_dimension_report_requires_estimate(capsys, tmp_path):
     code = run(["dimension", "--base", "2", "--report", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "--estimate" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "--estimate" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--depth", "5"], "error: --depth requires --estimate\n"),
+    (["--estimate"], "error: --estimate requires --depth\n"),
+], ids=["depth-without-estimate", "estimate-without-depth"])
+def test_dimension_usage_errors_print_nothing(capsys, argv, message):
+    assert run(["dimension", "--base", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_fractal_depth_zero_pbm(capsys, tmp_path):
@@ -65,6 +78,14 @@ def test_fractal_value_filter(capsys, tmp_path):
 
 def test_fractal_value_needs_table_depth(capsys):
     assert run(["fractal", "--base", "2", "--depth", "0", "--value", "2"]) == 2
+
+
+def test_fractal_value_zero_at_depth_zero(capsys):
+    # carry value 0 is the default pattern, which exists at every depth
+    assert run(["fractal", "--base", "2", "--depth", "0"]) == 0
+    default = capsys.readouterr().out
+    assert run(["fractal", "--base", "2", "--depth", "0", "--value", "0"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_fractal_artifacts_reproducible(tmp_path):
@@ -174,16 +195,12 @@ def test_spectrum_from_file(capsys, tmp_path):
     assert "spectral exponent beta" in capsys.readouterr().out
 
 
-def test_spectrum_selftest(capsys):
-    assert run(["spectrum", "--selftest", "--seed", "0", "--length", "2048"]) == 0
-    out = capsys.readouterr().out
-    assert "white noise" in out
-    assert "random walk" in out
-
-
 def test_spectrum_needs_exactly_one_source(capsys):
     assert run(["spectrum"]) == 2
-    assert run(["spectrum", "--in", "x.csv", "--selftest"]) == 2
+    assert "the following arguments are required: --in" in capsys.readouterr().err
+    for extra in (["--selftest"], ["--seed", "0"], ["--length", "4096"]):
+        assert run(["spectrum", "--in", "x.csv", *extra]) == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -22,23 +22,23 @@ from cvtfractals import (
 class TestOverflowGenerator:
     def test_binary_over_ternary(self):
         gen = overflow_generator(2)
-        assert gen.cells == ((0, 2), (1, 1), (2, 0))
+        assert tuple(gen) == ((0, 2), (1, 1), (2, 0))
         assert len(gen) == 3
 
     def test_ternary_over_quaternary(self):
-        assert overflow_generator(3).cells == ((0, 3), (1, 2), (2, 1), (3, 0))
+        assert tuple(overflow_generator(3)) == ((0, 3), (1, 2), (2, 1), (3, 0))
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_is_the_anti_diagonal(self, k):
         gen = overflow_generator(k)
-        assert set(gen.cells) == {(x, k - x) for x in range(k + 1)}
+        assert set(gen) == {(x, k - x) for x in range(k + 1)}
         assert len(gen) == k + 1
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_disjoint_union_rebuilds_large_generator(self, k):
-        overflow = set(overflow_generator(k).cells)
-        small = set(zero_carry_set(k, 1).cells)
-        large = set(zero_carry_set(k + 1, 1).cells)
+        overflow = set(overflow_generator(k))
+        small = set(zero_carry_set(k, 1))
+        large = set(zero_carry_set(k + 1, 1))
         assert overflow & small == set()
         assert overflow | small == large
 
@@ -50,7 +50,7 @@ class TestOverflowGenerator:
 class TestIterateOverflowFractal:
     def test_depth_one_is_identity(self):
         gen = overflow_generator(2)
-        assert iterate_overflow_fractal(gen, 1).cells == gen.cells
+        assert tuple(iterate_overflow_fractal(gen, 1)) == tuple(gen)
 
     def test_depth_three_count(self):
         assert len(iterate_overflow_fractal(overflow_generator(2), 3)) == 27

@@ -2,54 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvtfractals import (
-    InvalidBaseError,
-    cvt,
-    from_digits,
-    sum_without_carry,
-    to_digits,
-)
+from cvtfractals import InvalidBaseError, cvt, sum_without_carry
 
 values = st.integers(min_value=0, max_value=2**128)
 bases = st.integers(min_value=2, max_value=1000)
-
-
-class TestToDigits:
-    def test_thirteen_binary(self):
-        assert to_digits(13, 2) == (1, 0, 1, 1)  # (1101) base 2
-
-    def test_thirteen_ternary(self):
-        assert to_digits(13, 3) == (1, 1, 1)  # (111) base 3
-
-    def test_zero_is_empty(self):
-        assert to_digits(0, 5) == ()
-
-    def test_invalid_base(self):
-        with pytest.raises(InvalidBaseError):
-            to_digits(13, 1)
-
-    def test_negative_value(self):
-        with pytest.raises(ValueError):
-            to_digits(-1, 2)
-
-    @given(values, bases)
-    def test_round_trip(self, value, base):
-        digits = to_digits(value, base)
-        assert all(0 <= d < base for d in digits)
-        assert from_digits(digits, base) == value
-
-
-class TestFromDigits:
-    def test_rejects_out_of_range_digit(self):
-        with pytest.raises(ValueError):
-            from_digits((0, 2), 2)
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(InvalidBaseError):
-            from_digits((0,), 1)
-
-    def test_coerces_digit_sequence(self):
-        assert from_digits([2, 1], 3) == 5
 
 
 class TestCvt:

@@ -1,5 +1,5 @@
-"""The shipped scripts, the README's library example and the benchmark's
-declared layer names, checked against the package as it is.
+"""The shipped scripts, the README's library and command-line examples and the
+benchmark's declared layer names, checked against the package as it is.
 
 The expected stdout and file digests were taken from the scripts before their
 settings became module constants; any change to a script's output shows here.
@@ -10,9 +10,12 @@ import importlib
 import json
 import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
+
+from cvtfractals.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +86,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     assert {p.name for p in tmp_path.iterdir()} == {"base3.pbm", "base3.mid"}
+
+
+def test_readme_command_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "cvtfractals" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    # a non-degenerate series long enough for the spectrum fit
+    (tmp_path / "series.csv").write_text("".join(f"{i * 37 % 11 - 5}\n" for i in range(128)))
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
 
 
 def test_melody_sweep_refuses_unknown_scale_before_writing(capsys, tmp_path):
