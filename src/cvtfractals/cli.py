@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_nonneg_arg, required=True)
     p.add_argument("--scale", choices=sorted(melody.SCALES), default="major")
     p.add_argument("--base-pitch", type=_int_arg(0, 127), default=60)
-    p.add_argument("--tempo", type=_pos_arg, default=120,
+    p.add_argument("--tempo", type=_int_arg(melody.MIN_TEMPO, melody.MAX_TEMPO), default=120,
                    help="beats per minute; each grid cell is a sixteenth note")
     p.add_argument("--midi", metavar="PATH", required=True)
     p.add_argument("--csv", metavar="PATH")

@@ -92,19 +92,33 @@ def base_for_target_dimension(target: float) -> tuple[int, float]:
 
 
 def box_count(cells: CellSet, box_size: int) -> int:
-    """Number of aligned box_size x box_size boxes containing at least one cell."""
+    """Number of aligned box_size x box_size boxes containing at least one cell.
+
+    The set remembers the box keys of its last count, and a box size that the
+    remembered one divides is counted from those keys instead of the cells.
+    On the base-n zero-carry set each scale has n(n+1)/2 times fewer boxes
+    than the one below it, so counting ascending scales costs about one pass
+    over the cells.
+    """
     box_size = operator.index(box_size)
     extent = cells.extent
     if box_size < 1 or extent % box_size != 0:
         raise InvalidScaleError(f"box size {box_size} does not divide extent {extent}")
-    # box key (row // box_size) * boxes_across + col // box_size, built in place
-    rows, cols = np.divmod(cells.keys, extent)
-    rows //= box_size
-    cols //= box_size
-    rows *= extent // box_size
-    rows += cols
-    del cols
-    return int(_sort_unique(rows).size)
+    size, boxes = cells._boxes
+    if box_size % size:
+        size, boxes = 1, cells.keys
+    if box_size > size:
+        # box key (row // box_size) * boxes_across + col // box_size, built in place
+        # from keys on the (extent // size)-wide grid of the remembered boxes
+        rows, cols = np.divmod(boxes, extent // size)
+        rows //= box_size // size
+        cols //= box_size // size
+        rows *= extent // box_size
+        rows += cols
+        del cols
+        boxes = _sort_unique(rows)
+        object.__setattr__(cells, "_boxes", (box_size, boxes))
+    return int(boxes.size)
 
 
 def estimate_dimension(cells: CellSet) -> DimensionEstimate:

@@ -43,6 +43,10 @@ MIN_SPECTRUM_LENGTH = 32
 _FLAT_SPECTRUM_SPREAD = 1e-9
 # the largest delta time a Standard MIDI File can encode: four VLQ bytes of 7 bits
 MAX_DELTA = 2**28 - 1
+# the tempos a set-tempo event holds exactly: 60e6 / 4 is the slowest that fits
+# its 24 bits, and above 7812 bpm two tempos round to the same microseconds
+MIN_TEMPO = 4
+MAX_TEMPO = 7812
 # the range of each Notes column; onsets and durations stay below 2**62, so
 # every note end fits an int64
 _COLUMN_BOUNDS = {
@@ -199,13 +203,14 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     variable-length delta times, then end-of-track. Simultaneous events are
     ordered note-off first, then by pitch, so the byte stream is fully
     determined by the notes. A delta time above MAX_DELTA has no Standard
-    MIDI encoding and is refused before anything is written.
+    MIDI encoding, and a tempo outside [MIN_TEMPO, MAX_TEMPO] does not read
+    back as itself; both are refused before anything is written.
     """
     if not tempo_bpm > 0:
         raise ValueError(f"tempo_bpm must be > 0, got {tempo_bpm}")
+    if not MIN_TEMPO <= tempo_bpm <= MAX_TEMPO:
+        raise ValueError(f"tempo {tempo_bpm} bpm is outside [{MIN_TEMPO}, {MAX_TEMPO}]")
     micros_per_quarter = round(60_000_000 / tempo_bpm)
-    if not 1 <= micros_per_quarter <= 0xFFFFFF:
-        raise ValueError(f"tempo {tempo_bpm} bpm does not fit a set-tempo event")
     # each event's three bytes (status, pitch, velocity) as one big-endian
     # integer; sorting by (tick, event) puts note-offs (0x80) before note-ons
     tick = np.concatenate((notes.onset + notes.duration, notes.onset))

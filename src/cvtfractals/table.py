@@ -54,7 +54,8 @@ class CellSet:
     The cells are held as one read-only, sorted, duplicate-free int64 array
     `keys` of row * extent + col, so row-major order is key order. Accepts any
     iterable of pairs, including an (n, 2) integer numpy array. Iteration
-    builds sorted (row, col) tuples on demand.
+    builds sorted (row, col) tuples on demand. The private `_boxes`, outside
+    the fields, holds (box size, sorted box keys) of the last box count.
     """
 
     base: int
@@ -86,6 +87,7 @@ class CellSet:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_boxes", (1, keys))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

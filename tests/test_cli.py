@@ -188,6 +188,26 @@ def test_music_reports_clamped_pitches(capsys, tmp_path, argv, err):
     assert captured.out.splitlines()[0] == "zero-carry pattern base 2 depth 6: 365 notes"
 
 
+@pytest.mark.parametrize("tempo", ["3", "7813", "45000000", "100000000"])
+def test_music_refuses_tempo_outside_the_exact_range(capsys, tmp_path, tempo):
+    midi = tmp_path / "m.mid"
+    assert run(["music", "--base", "2", "--depth", "3", "--tempo", tempo,
+                "--midi", str(midi)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be in [4, 7812]" in captured.err
+    assert not midi.exists()
+
+
+@pytest.mark.parametrize("tempo", [4, 7812])
+def test_music_accepts_the_tempo_range_ends(capsys, tmp_path, tempo):
+    midi = tmp_path / "m.mid"
+    assert run(["music", "--base", "2", "--depth", "3", "--tempo", str(tempo),
+                "--midi", str(midi)]) == 0
+    _, tempo_us, _ = parse_smf(midi.read_bytes())
+    assert round(60_000_000 / tempo_us) == tempo
+
+
 def test_spectrum_from_file(capsys, tmp_path):
     series = tmp_path / "series.csv"
     series.write_text("\n".join(str((i * 37 % 11) - 5) for i in range(128)) + "\n")

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -151,6 +155,63 @@ class TestBoxCount:
         extent = cells.extent
         for size in (s for s in range(1, extent + 1) if extent % s == 0):
             assert box_count(cells, size) == brute_force_box_count(cells, extent, size)
+
+    @given(st.data())
+    def test_count_does_not_depend_on_earlier_counts(self, data):
+        # the set remembers its last count's boxes; any order of sizes, with
+        # repeats, coarser-then-finer and non-dividing steps, must count alike
+        cells = data.draw(random_cellsets())
+        extent = cells.extent
+        divisors = [s for s in range(1, extent + 1) if extent % s == 0]
+        for size in data.draw(st.lists(st.sampled_from(divisors), max_size=8)):
+            assert box_count(cells, size) == brute_force_box_count(cells, extent, size)
+
+    @pytest.mark.parametrize("sizes", [
+        (4, 6, 12), (12, 4, 36), (2, 2, 18, 1), (3, 9, 18, 36), (36, 1, 6, 3),
+    ])
+    def test_size_sequences_on_extent_36(self, sizes):
+        cells = CellSet(6, 2, [(r, (r * 7 + 5) % 36) for r in range(0, 36, 5)]
+                        + [(35, 35), (0, 0), (17, 18)])
+        for size in sizes:
+            assert box_count(cells, size) == brute_force_box_count(cells, 36, size)
+
+    def test_counting_leaves_the_set_unchanged(self):
+        cells = zero_carry_set(3, 4)
+        before = (hash(cells), repr(cells))
+        for size in (3, 9, 27, 9, 81, 1, 3):
+            box_count(cells, size)
+        assert cells == CellSet(3, 4, tuple(cells))
+        assert (hash(cells), repr(cells)) == before
+        assert not cells.keys.flags.writeable
+        assert [f.name for f in dataclasses.fields(cells)] == ["base", "depth", "keys"]
+        assert "_boxes" not in repr(cells)
+
+    def test_threads_sharing_a_set_count_alike(self):
+        # a lost update of the remembered boxes may only cost time, never a count
+        cells = zero_carry_set(6, 3)
+        sizes = [s for s in range(1, 217) if 216 % s == 0]
+        expected = {s: box_count(CellSet(6, 3, cells.to_array()), s) for s in sizes}
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(150):
+                size = rng.choice(sizes)
+                if box_count(cells, size) != expected[size]:
+                    wrong.append(size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_wide_grid_is_refused_not_miscounted(self):
         # row * extent + col keys of a 2**40-wide grid overflow int64; the four

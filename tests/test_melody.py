@@ -20,7 +20,7 @@ from cvtfractals import (
     write_notes_csv,
     zero_carry_set,
 )
-from cvtfractals.melody import MAX_DELTA
+from cvtfractals.melody import MAX_DELTA, MAX_TEMPO, MIN_TEMPO
 from helpers import (
     brute_force_run_count,
     brute_force_runs,
@@ -287,6 +287,30 @@ class TestWriteMidi:
     def test_tempo_too_slow_for_three_bytes(self, tmp_path):
         with pytest.raises(ValueError):
             write_midi(make_notes(), tempo_bpm=3, path=tmp_path / "x.mid")
+
+    @pytest.mark.parametrize("tempo", [7813, 45_000_000, 100_000_000])
+    def test_tempo_outside_the_exact_range_refused(self, tmp_path, tempo):
+        # above 7812 bpm tempos share their rounded microseconds, and
+        # 40M..120M bpm all became 1 us
+        path = tmp_path / "x.mid"
+        with pytest.raises(ValueError, match=r"outside \[4, 7812\]"):
+            write_midi(make_notes((0, 120, 60)), tempo_bpm=tempo, path=path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("tempo", [4, 7812])
+    def test_tempo_range_ends_read_back(self, tmp_path, tempo):
+        path = tmp_path / "x.mid"
+        write_midi(make_notes((0, 120, 60)), tempo_bpm=tempo, path=path)
+        _, tempo_us, _ = parse_smf(path.read_bytes())
+        assert round(60_000_000 / tempo_us) == tempo
+
+    def test_tempo_range_is_every_tempo_that_reads_back(self):
+        def exact(t):
+            return round(60_000_000 / round(60_000_000 / t)) == t
+
+        assert round(60_000_000 / MIN_TEMPO) <= 0xFFFFFF < round(60_000_000 / (MIN_TEMPO - 1))
+        assert all(exact(t) for t in range(MIN_TEMPO, MAX_TEMPO + 1))
+        assert not exact(MAX_TEMPO + 1)
 
     @pytest.mark.parametrize("tempo", [0, -120, 0.0])
     def test_non_positive_tempo(self, tmp_path, tempo):
