@@ -65,7 +65,8 @@ def overflow_generator(small_base: int) -> CellSet:
     k + 1 cells.
     """
     small_base = _check_base(small_base)
-    return CellSet(small_base + 1, 1, [(x, small_base - x) for x in range(small_base + 1)])
+    # cell (x, k - x) on the (k + 1)-wide grid has key x * (k + 1) + k - x
+    return CellSet(small_base + 1, 1, np.arange(small_base + 1) * small_base + small_base)
 
 
 def iterate_overflow_fractal(gen: CellSet, depth: int) -> CellSet:
@@ -79,9 +80,10 @@ def iterate_overflow_fractal(gen: CellSet, depth: int) -> CellSet:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not len(gen):
         raise ValueError("generator must be nonempty")
-    # one read-only view of the generator per level, however deep
-    levels = np.broadcast_to(gen.to_array(), (depth, len(gen), 2))
-    return _substitute(levels, gen.extent)
+    if gen.extent < 2:
+        raise ValueError(f"generator grid {gen.base}**{gen.depth} is 1 cell wide, needs >= 2")
+    # one read-only view of the generator's keys per level, however deep
+    return _substitute(np.broadcast_to(gen.keys, (depth, len(gen))), gen.extent)
 
 
 def analyze_overlay(small_base: int, depth: int) -> OverlayReport:

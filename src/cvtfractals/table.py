@@ -51,38 +51,32 @@ class CvTable:
 class CellSet:
     """Sparse set of (row, col) cells on a base**depth grid.
 
-    The cells are held as one read-only, sorted, duplicate-free int64 array
-    `keys` of row * extent + col, so row-major order is key order. Accepts any
-    iterable of pairs, including an (n, 2) integer numpy array. Iteration
-    builds sorted (row, col) tuples on demand. The private `_boxes`, outside
-    the fields, holds (box size, sorted box keys) of the last box count.
+    A cell enters and is held as its key row * extent + col, so row-major
+    order is key order: the constructor takes a 1-D integer array or iterable
+    of keys, and `keys` is one read-only, sorted, duplicate-free int64 array.
+    Iteration builds sorted (row, col) tuples on demand. The private `_boxes`,
+    outside the fields, holds (box size, sorted box keys) of the last box count.
     """
 
     base: int
     depth: int
     keys: np.ndarray
 
-    def __init__(self, base: int, depth: int, cells) -> None:
+    def __init__(self, base: int, depth: int, keys) -> None:
         base = _check_base(base)
         depth = operator.index(depth)
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         _check_extent(base, depth, MAX_KEY_EXTENT, "grid")
         extent = base**depth
-        # no dtype: forcing int64 here would truncate float cells instead of refusing them
-        pairs = cells if isinstance(cells, np.ndarray) else np.array(list(cells))
-        if not pairs.size:
-            pairs = np.zeros((0, 2), dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"cell array must have shape (n, 2), got {pairs.shape}")
-        if not np.issubdtype(pairs.dtype, np.integer):
-            raise ValueError(f"cells must be integers, got dtype {pairs.dtype}")
-        if (pairs < 0).any() or (pairs >= extent).any():
-            raise ValueError(f"cell coordinates out of range for extent {extent}")
-        pairs = pairs.astype(np.int64, copy=False)
-        keys = pairs[:, 0] * extent
-        keys += pairs[:, 1]
-        keys = _sort_unique(keys)
+        # no dtype: forcing int64 here would truncate float keys instead of refusing them
+        keys = keys if isinstance(keys, np.ndarray) else np.array(list(keys))
+        if keys.ndim != 1 or keys.size and not np.issubdtype(keys.dtype, np.integer):
+            raise ValueError(f"cell keys must be 1-D integers, got {keys.dtype} {keys.shape}")
+        # a copy, so the caller's array is never sorted; unsigned keys past int64 turn negative
+        keys = _sort_unique(keys.astype(np.int64))
+        if keys.size and (keys[0] < 0 or keys[-1] >= extent * extent):
+            raise ValueError(f"cell keys out of range for extent {extent}")
         keys.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "depth", depth)
@@ -160,38 +154,41 @@ def build_table(base: int, digits_k: int) -> CvTable:
 
 
 def value_cells(table: CvTable, v: int) -> CellSet:
-    """All cells of the table holding carry value v (possibly empty)."""
+    """All cells of the table holding carry value v; a row-major flat index is a key."""
     v = operator.index(v)
-    return CellSet(table.base, table.digits_k, np.argwhere(table.values == v))
+    return CellSet(table.base, table.digits_k, np.flatnonzero(table.values == v))
 
 
-def _substitute(generators, modulus: int) -> CellSet:
-    """Place generators[i], an (m, 2) array below modulus, in every cell kept by levels < i.
+def _substitute(levels, modulus: int) -> CellSet:
+    """Place levels[i], digit-pair keys x * modulus + y, in every cell kept by levels < i.
 
     Extent and cell count are checked against their limits before any allocation.
     """
-    depth = len(generators)
+    depth = len(levels)
     _check_extent(modulus, depth, MAX_SPARSE_EXTENT, "pattern")
-    count = math.prod(len(g) for g in generators)
+    count = math.prod(len(level) for level in levels)
     if count > MAX_CELLS:
         raise SizeLimitError(f"pattern of {count} cells exceeds limit {MAX_CELLS}")
-    cells = np.zeros((1, 2), dtype=np.int64)
-    for generator in generators:
-        cells = (cells[:, None, :] * modulus + generator[None, :, :]).reshape(-1, 2)
-    return CellSet(modulus, depth, cells)
+    extent = modulus**depth
+    keys = np.zeros(1, dtype=np.int64)
+    for level in levels:
+        # one Horner step: a key is linear in the digit pairs of every level
+        x, y = np.divmod(level, modulus)
+        keys = (keys[:, None] * modulus + (x * extent + y)).ravel()
+    return CellSet(modulus, depth, keys)
 
 
 def _carry_triangle(base: int, carry: int) -> np.ndarray:
-    """Digit pairs carrying 0 (x + y < base: i, j - i for i <= j < base) or 1 (its mirror).
+    """Sorted digit-pair keys x * base + y carrying 0 (x + y < base) or 1 (its mirror).
 
     A triangle above MAX_CELLS is refused unbuilt: any pattern using it is larger.
     """
-    if carry:
-        return base - 1 - _carry_triangle(base - 1, 0)
-    if (size := base * (base + 1) // 2) > MAX_CELLS:
+    if (size := (base - carry) * (base - carry + 1) // 2) > MAX_CELLS:
         raise SizeLimitError(f"pattern of at least {size} cells exceeds limit {MAX_CELLS}")
-    rows, cols = np.triu_indices(base)
-    return np.stack((rows, cols - rows), axis=1)
+    # x + y < base - carry is the pair (i, j - i) for i <= j < base - carry
+    rows, cols = np.triu_indices(base - carry)
+    keys = rows * base + cols - rows
+    return base * base - 1 - keys[::-1] if carry else keys
 
 
 def carry_value_set(base: int, depth: int, value: int = 0) -> CellSet:

@@ -6,6 +6,8 @@ without reusing any code path from the package under test.
 
 from __future__ import annotations
 
+import itertools
+
 
 def digits(value: int, base: int) -> list[int]:
     """Base-`base` digits of a non-negative integer, least significant first; 0 has none."""
@@ -14,6 +16,26 @@ def digits(value: int, base: int) -> list[int]:
         value, d = divmod(value, base)
         out.append(d)
     return out
+
+
+def cell_keys(pairs, extent: int) -> list[int]:
+    """Row-major keys row * extent + col of (row, col) cells on an extent-wide grid."""
+    return [r * extent + c for r, c in pairs]
+
+
+def substituted_cells(generator, modulus: int, depth: int) -> set[tuple[int, int]]:
+    """Cells of `generator`, (x, y) digit pairs below modulus, substituted depth levels deep.
+
+    Every tuple of one generator cell per level is one cell; level i holds the
+    digits of place value modulus**(depth - 1 - i) of its row and its column.
+    """
+    places = [modulus ** (depth - 1 - i) for i in range(depth)]
+    cells = set()
+    for choice in itertools.product(generator, repeat=depth):
+        row = sum(x * place for (x, _), place in zip(choice, places))
+        col = sum(y * place for (_, y), place in zip(choice, places))
+        cells.add((row, col))
+    return cells
 
 
 def brute_force_box_count(cells, extent: int, box_size: int) -> int:

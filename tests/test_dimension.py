@@ -27,7 +27,7 @@ from cvtfractals import (
     write_dimension_csv,
     zero_carry_set,
 )
-from helpers import brute_force_box_count
+from helpers import brute_force_box_count, cell_keys
 
 
 @st.composite
@@ -35,7 +35,8 @@ def random_cellsets(draw, min_depth=0):
     base = draw(st.integers(min_value=2, max_value=6))
     depth = draw(st.integers(min_value=min_depth, max_value=3 if base <= 3 else 2))
     coord = st.integers(min_value=0, max_value=base**depth - 1)
-    return CellSet(base, depth, draw(st.lists(st.tuples(coord, coord), max_size=50)))
+    pairs = draw(st.lists(st.tuples(coord, coord), max_size=50))
+    return CellSet(base, depth, cell_keys(pairs, base**depth))
 
 
 class TestSimilarityDimension:
@@ -170,8 +171,8 @@ class TestBoxCount:
         (4, 6, 12), (12, 4, 36), (2, 2, 18, 1), (3, 9, 18, 36), (36, 1, 6, 3),
     ])
     def test_size_sequences_on_extent_36(self, sizes):
-        cells = CellSet(6, 2, [(r, (r * 7 + 5) % 36) for r in range(0, 36, 5)]
-                        + [(35, 35), (0, 0), (17, 18)])
+        pairs = [(r, (r * 7 + 5) % 36) for r in range(0, 36, 5)] + [(35, 35), (0, 0), (17, 18)]
+        cells = CellSet(6, 2, cell_keys(pairs, 36))
         for size in sizes:
             assert box_count(cells, size) == brute_force_box_count(cells, 36, size)
 
@@ -180,7 +181,7 @@ class TestBoxCount:
         before = (hash(cells), repr(cells))
         for size in (3, 9, 27, 9, 81, 1, 3):
             box_count(cells, size)
-        assert cells == CellSet(3, 4, tuple(cells))
+        assert cells == CellSet(3, 4, cell_keys(cells, cells.extent))
         assert (hash(cells), repr(cells)) == before
         assert not cells.keys.flags.writeable
         assert [f.name for f in dataclasses.fields(cells)] == ["base", "depth", "keys"]
@@ -190,7 +191,7 @@ class TestBoxCount:
         # a lost update of the remembered boxes may only cost time, never a count
         cells = zero_carry_set(6, 3)
         sizes = [s for s in range(1, 217) if 216 % s == 0]
-        expected = {s: box_count(CellSet(6, 3, cells.to_array()), s) for s in sizes}
+        expected = {s: box_count(CellSet(6, 3, cells.keys), s) for s in sizes}
         wrong = []
 
         def work(seed):
@@ -217,7 +218,8 @@ class TestBoxCount:
         # row * extent + col keys of a 2**40-wide grid overflow int64; the four
         # cells lie in four distinct unit boxes, so any count but 4 is wrong
         try:
-            count = box_count(CellSet(2, 40, [(0, 0), (1, 0), (2**33, 0), (1, 2**33)]), 1)
+            pairs = [(0, 0), (1, 0), (2**33, 0), (1, 2**33)]
+            count = box_count(CellSet(2, 40, cell_keys(pairs, 2**40)), 1)
         except SizeLimitError:
             return
         assert count == 4
@@ -242,7 +244,7 @@ class TestEstimateDimension:
 
     def test_full_square_is_plane_filling(self):
         extent = 2**4
-        full = CellSet(2, 4, [(r, c) for r in range(extent) for c in range(extent)])
+        full = CellSet(2, 4, range(extent * extent))
         est = estimate_dimension(full)
         assert est.slope == pytest.approx(2.0, abs=0.01)
 
@@ -276,7 +278,7 @@ class TestEstimateDimension:
             estimate_dimension(CellSet(2, 3, []))
 
     def test_constant_counts_rejected(self):
-        lone = CellSet(2, 4, [(0, 0)])
+        lone = CellSet(2, 4, cell_keys([(0, 0)], 16))
         with pytest.raises(InsufficientScalesError):
             estimate_dimension(lone)
 

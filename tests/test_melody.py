@@ -24,6 +24,7 @@ from cvtfractals.melody import MAX_DELTA, MAX_TEMPO, MIN_TEMPO
 from helpers import (
     brute_force_run_count,
     brute_force_runs,
+    cell_keys,
     csv_bytes,
     parse_smf,
     reference_midi,
@@ -56,18 +57,18 @@ class TestCellsToNotes:
         assert note_rows(notes) == [(0, 120, 60), (0, 240, 62)]
 
     def test_single_cell(self):
-        notes = cells_to_notes(CellSet(2, 0, [(0, 0)]))
+        notes = cells_to_notes(CellSet(2, 0, cell_keys([(0, 0)], 1)))
         assert note_rows(notes) == [(0, 120, 60)]
 
     def test_full_row_is_one_note(self):
         extent = 8
-        cells = CellSet(2, 3, [(0, c) for c in range(extent)])
+        cells = CellSet(2, 3, cell_keys([(0, c) for c in range(extent)], extent))
         notes = cells_to_notes(cells)
         assert len(notes) == 1
         assert notes.duration.tolist() == [extent * 120]
 
     def test_gap_splits_runs(self):
-        cells = CellSet(2, 2, [(1, 0), (1, 1), (1, 3)])
+        cells = CellSet(2, 2, cell_keys([(1, 0), (1, 1), (1, 3)], 4))
         notes = cells_to_notes(cells)
         assert notes.onset.tolist() == [0, 360]
         assert notes.duration.tolist() == [240, 120]
@@ -110,7 +111,7 @@ class TestCellsToNotes:
         extent = base**depth
         coord = st.integers(min_value=0, max_value=extent - 1)
         pairs = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
-        cells = CellSet(base, depth, pairs)
+        cells = CellSet(base, depth, cell_keys(pairs, extent))
         intervals = SCALES[scale]
         expected = []
         high = 0
@@ -127,7 +128,7 @@ class TestCellsToNotes:
         assert notes.clamped_high == high
 
     def test_scale_degrees(self):
-        cells = CellSet(8, 1, [(row, 0) for row in range(8)])
+        cells = CellSet(8, 1, cell_keys([(row, 0) for row in range(8)], 8))
         notes = cells_to_notes(cells, scale="major", base_pitch=60)
         assert sorted(notes.pitch.tolist()) == [60, 62, 64, 65, 67, 69, 71, 72]
 

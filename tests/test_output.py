@@ -23,7 +23,7 @@ from cvtfractals import (
 )
 from cvtfractals.output import ascii_rows, write_chunks
 from cvtfractals.raster import RasterImage, _pnm_chunks
-from helpers import csv_bytes, pnm_bytes
+from helpers import cell_keys, csv_bytes, pnm_bytes
 
 EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255)
 SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
@@ -77,7 +77,7 @@ class TestCsvBytes:
         coord = st.integers(min_value=0, max_value=base**depth - 1)
         pairs = data.draw(st.lists(st.tuples(coord, coord), max_size=30))
         path = tmp_path_factory.mktemp("cells") / "c.csv"
-        write_cells_csv(CellSet(base, depth, pairs), path)
+        write_cells_csv(CellSet(base, depth, cell_keys(pairs, base**depth)), path)
         assert path.read_bytes() == csv_bytes(sorted(set(pairs)))
 
 

@@ -2,6 +2,8 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvtfractals import (
     CLAIMED_INCREMENT,
@@ -17,6 +19,7 @@ from cvtfractals import (
     write_overlay_scales_csv,
     zero_carry_set,
 )
+from helpers import cell_keys, substituted_cells
 
 
 class TestOverflowGenerator:
@@ -56,7 +59,7 @@ class TestIterateOverflowFractal:
         assert len(iterate_overflow_fractal(overflow_generator(2), 3)) == 27
 
     def test_single_cell_generator(self):
-        lone = CellSet(3, 1, [(1, 1)])
+        lone = CellSet(3, 1, cell_keys([(1, 1)], 3))
         result = iterate_overflow_fractal(lone, 4)
         assert len(result) == 1
         assert result.extent == 81
@@ -80,6 +83,26 @@ class TestIterateOverflowFractal:
     def test_extent_limit(self):
         with pytest.raises(SizeLimitError):
             iterate_overflow_fractal(overflow_generator(2), 14)  # 3**14 > 2**20
+
+    @pytest.mark.parametrize("depth", [3, 10**9])
+    def test_one_cell_wide_generator_refused(self, depth):
+        # a 1-wide grid is no base: the refusal names the generator's grid
+        with pytest.raises(ValueError, match=r"generator grid 2\*\*0 is 1 cell wide"):
+            iterate_overflow_fractal(CellSet(2, 0, [0]), depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_substitution_oracle(self, data):
+        modulus = data.draw(st.integers(min_value=2, max_value=5), label="modulus")
+        depth = data.draw(st.integers(min_value=1, max_value=4), label="depth")
+        digit = st.integers(min_value=0, max_value=modulus - 1)
+        # any nonempty subset of the digit grid, kept to a few thousand cells
+        most = min(modulus**2, int(4096 ** (1 / depth)))
+        pairs = data.draw(st.sets(st.tuples(digit, digit), min_size=1, max_size=most))
+        gen = CellSet(modulus, 1, cell_keys(pairs, modulus))
+        result = iterate_overflow_fractal(gen, depth)
+        assert result.extent == modulus**depth
+        assert tuple(result) == tuple(sorted(substituted_cells(pairs, modulus, depth)))
 
 
 class TestAnalyzeOverlay:

@@ -14,7 +14,7 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.raster import _pnm_chunks
-from helpers import parse_pnm
+from helpers import cell_keys, parse_pnm
 
 
 class TestRenderCellset:
@@ -41,7 +41,7 @@ class TestRenderCellset:
         assert int(image.pixels.sum()) == len(cells) * zoom**2
 
     def test_zoom_blocks(self):
-        image = render_cellset(CellSet(2, 1, [(1, 0)]), zoom=3)
+        image = render_cellset(CellSet(2, 1, cell_keys([(1, 0)], 2)), zoom=3)
         assert image.pixels[3:6, 0:3].all()
         assert not image.pixels[0:3, :].any()
 
@@ -54,7 +54,7 @@ class TestRenderCellset:
         extent = base**depth
         coord = st.integers(min_value=0, max_value=extent - 1)
         pairs = set(data.draw(st.lists(st.tuples(coord, coord), max_size=30)))
-        pixels = render_cellset(CellSet(base, depth, pairs)).pixels.tolist()
+        pixels = render_cellset(CellSet(base, depth, cell_keys(pairs, extent))).pixels.tolist()
         assert pixels == [[int((r, c) in pairs) for c in range(extent)] for r in range(extent)]
 
     def test_size_limit(self):

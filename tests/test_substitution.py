@@ -19,7 +19,7 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.table import MAX_CELLS
-from helpers import digits
+from helpers import cell_keys, digits
 
 # largest digit count per base whose dense table stays small enough to scan often
 MAX_DEPTH = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
@@ -136,7 +136,7 @@ def test_overflow_fractal_limits():
     with pytest.raises(SizeLimitError, match="exceeds limit"):
         iterate_overflow_fractal(gen, 13)  # 3**13 > 2**20
     # a full 4x4 generator at depth 10: extent 2**20 is admitted, 2**40 cells are not
-    full = CellSet(4, 1, [(r, c) for r in range(4) for c in range(4)])
+    full = CellSet(4, 1, cell_keys([(r, c) for r in range(4) for c in range(4)], 4))
     with pytest.raises(SizeLimitError, match="cells exceeds limit"):
         iterate_overflow_fractal(full, 10)
 

@@ -16,7 +16,7 @@ from cvtfractals import (
     write_table_csv,
     zero_carry_set,
 )
-from helpers import digits
+from helpers import cell_keys, digits
 
 
 @st.composite
@@ -152,70 +152,87 @@ class TestZeroCarrySet:
 
 class TestCellSet:
     def test_normalizes_order_and_duplicates(self):
-        cells = CellSet(2, 1, [(1, 0), (0, 1), (0, 0), (0, 1)])
+        cells = CellSet(2, 1, cell_keys([(1, 0), (0, 1), (0, 0), (0, 1)], 2))
         assert tuple(cells) == ((0, 0), (0, 1), (1, 0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            CellSet(2, 1, [(0, 2)])
+            CellSet(2, 1, [4])  # extent**2
         with pytest.raises(ValueError):
-            CellSet(2, 1, [(-1, 0)])
+            CellSet(2, 1, [-1, 0])
+        with pytest.raises(ValueError):
+            CellSet(2, 1, [0, 2**70])  # beyond int64: an object array
+        assert tuple(CellSet(2, 1, [3])) == ((1, 1),)
 
     def test_accepts_numpy_array(self):
-        arr = np.array([[1, 0], [0, 0]])
+        arr = np.array([2, 0])
         assert tuple(CellSet(2, 1, arr)) == ((0, 0), (1, 0))
+        assert arr.tolist() == [2, 0]  # the caller's array is not sorted in place
+        assert tuple(CellSet(2, 1, np.array([3, 1], dtype=np.uint8))) == ((0, 1), (1, 1))
 
     @given(grids_and_pairs())
     def test_normalization_matches_sorted_set(self, grid):
         base, depth, pairs = grid
         expected = tuple(sorted(set(pairs)))
-        assert tuple(CellSet(base, depth, pairs)) == expected
-        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        from_array = CellSet(base, depth, arr)
+        keys = cell_keys(pairs, base**depth)
+        cells = CellSet(base, depth, keys)
+        assert tuple(cells) == expected
+        from_array = CellSet(base, depth, np.array(keys, dtype=np.int64))
         assert tuple(from_array) == expected
         assert from_array.to_array().tolist() == [list(rc) for rc in expected]
+        assert CellSet(base, depth, cells.keys) == cells
 
     def test_keys_are_sorted_row_major_and_read_only(self):
-        cells = CellSet(3, 1, [(2, 0), (0, 1), (2, 0)])
+        cells = CellSet(3, 1, cell_keys([(2, 0), (0, 1), (2, 0)], 3))
         assert cells.keys.dtype == np.int64
         assert cells.keys.tolist() == [1, 6]
         with pytest.raises(ValueError):
             cells.keys[0] = 0
 
     def test_equality_compares_base_depth_and_cells(self):
-        cells = CellSet(2, 2, [(0, 1), (3, 3)])
-        assert cells == CellSet(2, 2, np.array([[3, 3], [0, 1], [0, 1]]))
-        assert hash(cells) == hash(CellSet(2, 2, [(3, 3), (0, 1)]))
-        assert cells != CellSet(4, 1, [(0, 1), (3, 3)])  # same extent, other base
-        assert cells != CellSet(2, 3, [(0, 1), (3, 3)])
-        assert cells != CellSet(2, 2, [(0, 1)])
+        cells = CellSet(2, 2, cell_keys([(0, 1), (3, 3)], 4))
+        assert cells == CellSet(2, 2, np.array(cell_keys([(3, 3), (0, 1), (0, 1)], 4)))
+        assert hash(cells) == hash(CellSet(2, 2, cell_keys([(3, 3), (0, 1)], 4)))
+        assert cells != CellSet(4, 1, cell_keys([(0, 1), (3, 3)], 4))  # same extent, other base
+        assert cells != CellSet(2, 3, cell_keys([(0, 1), (3, 3)], 8))
+        assert cells != CellSet(2, 2, cell_keys([(0, 1)], 4))
         assert cells != ((0, 1), (3, 3))
 
     def test_immutable(self):
-        cells = CellSet(2, 1, [(0, 0)])
+        cells = CellSet(2, 1, [0])
         with pytest.raises(AttributeError):
             cells.depth = 2
 
     def test_rejects_extent_whose_keys_overflow_int64(self):
         # keys row * extent + col must fit an int64, so the extent stops at 2**31
         with pytest.raises(SizeLimitError):
-            CellSet(2, 32, [(0, 0)])
+            CellSet(2, 32, [0])
         with pytest.raises(SizeLimitError):
             CellSet(2, 10**9, [])
         corner = 2**31 - 1
-        widest = CellSet(2, 31, [(corner, corner), (0, 0)])
+        widest = CellSet(2, 31, cell_keys([(corner, corner), (0, 0)], 2**31))
         assert tuple(widest) == ((0, 0), (corner, corner))
 
     def test_rejects_malformed_arrays(self):
+        # cells enter only as keys: pairs are refused, never read as keys
+        with pytest.raises(ValueError):
+            CellSet(2, 1, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError):
+            CellSet(2, 1, np.array([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             CellSet(2, 1, np.zeros((2, 3), dtype=np.int64))
         with pytest.raises(ValueError):
-            CellSet(2, 1, np.array([[0.5, 0.0]]))
+            CellSet(2, 1, np.array([0.5, 0.0]))
         with pytest.raises(ValueError):
-            CellSet(2, 1, np.array([[0, 2]]))
+            CellSet(2, 1, [1.0])
+        with pytest.raises(ValueError):
+            CellSet(2, 1, np.array([True, False]))
 
     def test_to_array_empty(self):
-        assert CellSet(2, 1, []).to_array().shape == (0, 2)
+        # an empty list is accepted
+        cells = CellSet(2, 1, [])
+        assert len(cells) == 0
+        assert cells.to_array().shape == (0, 2)
 
     def test_len_and_iter(self):
         cells = zero_carry_set(2, 2)
@@ -238,14 +255,14 @@ class TestCsvExports:
     def test_cells_csv_matches_sorted_pairs(self, tmp_path_factory, grid):
         base, depth, pairs = grid
         path = tmp_path_factory.mktemp("cells") / "cells.csv"
-        write_cells_csv(CellSet(base, depth, pairs), path)
+        write_cells_csv(CellSet(base, depth, cell_keys(pairs, base**depth)), path)
         expected = "".join(f"{r},{c}\n" for r, c in sorted(set(pairs)))
         assert path.read_bytes() == expected.encode("ascii")
 
     def test_cells_csv_spans_several_blocks(self, tmp_path):
         pairs = np.random.default_rng(0).integers(0, 1024, size=(150_000, 2))
         path = tmp_path / "cells.csv"
-        write_cells_csv(CellSet(2, 10, pairs), path)
+        write_cells_csv(CellSet(2, 10, cell_keys(pairs.tolist(), 1024)), path)
         expected = "".join(f"{r},{c}\n" for r, c in sorted(set(map(tuple, pairs.tolist()))))
         assert path.read_bytes() == expected.encode("ascii")
 
