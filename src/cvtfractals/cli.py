@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlay", help="overflow generator of consecutive bases")
     p.add_argument("--small", type=_base_arg, required=True)
-    p.add_argument("--depth", type=_pos_arg, required=True)
+    p.add_argument("--depth", type=_int_arg(2), required=True)
     p.add_argument("--report", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_overlay)

@@ -12,6 +12,7 @@ not rely on the closed form.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -79,13 +80,8 @@ def base_for_target_dimension(target: float) -> tuple[int, float]:
         raise DimensionRangeError(f"target must lie in [{lower:.6f}, 2), got {target}")
     if similarity_dimension(SEARCH_CAP) < target:
         return SEARCH_CAP, similarity_dimension(SEARCH_CAP)
-    lo, hi = 2, SEARCH_CAP
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if similarity_dimension(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
+    # the smallest base whose dimension reaches the target
+    lo = 2 + bisect.bisect_left(range(2, SEARCH_CAP + 1), target, key=similarity_dimension)
     candidates = [lo] if lo == 2 else [lo - 1, lo]
     best = min(candidates, key=lambda n: (abs(similarity_dimension(n) - target), n))
     return best, similarity_dimension(best)
@@ -94,8 +90,8 @@ def base_for_target_dimension(target: float) -> tuple[int, float]:
 def box_count(cells: CellSet, box_size: int) -> int:
     """Number of aligned box_size x box_size boxes containing at least one cell.
 
-    The set remembers the box keys of its last count, and a box size that the
-    remembered one divides is counted from those keys instead of the cells.
+    The set keeps its last count's box keys in a private `_boxes` attribute,
+    and a box size that those boxes divide is counted from them, not the cells.
     On the base-n zero-carry set each scale has n(n+1)/2 times fewer boxes
     than the one below it, so counting ascending scales costs about one pass
     over the cells.
@@ -104,7 +100,7 @@ def box_count(cells: CellSet, box_size: int) -> int:
     extent = cells.extent
     if box_size < 1 or extent % box_size != 0:
         raise InvalidScaleError(f"box size {box_size} does not divide extent {extent}")
-    size, boxes = cells._boxes
+    size, boxes = getattr(cells, "_boxes", (1, cells.keys))
     if box_size % size:
         size, boxes = 1, cells.keys
     if box_size > size:

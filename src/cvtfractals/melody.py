@@ -134,18 +134,18 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
     if base_pitch not in range(128):
         raise ValueError(f"base_pitch must be in [0, 127], got {base_pitch!r}")
     intervals = SCALES[scale]
-    rows, cols = np.divmod(cells.keys, cells.extent)
-    # a run starts at every cell whose left neighbour is not in the set
-    starts = np.ones(rows.size, dtype=bool)
-    starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1] + 1)
-    first = np.flatnonzero(starts)
-    lengths = np.diff(first, append=rows.size)
-    octave, degree = np.divmod(cells.extent - 1 - rows[first], len(intervals))
+    keys = cells.keys
+    # keys are sorted row-major, so a run starts at every key that does not follow
+    # its predecessor by one, or that begins a row
+    first = np.flatnonzero((np.diff(keys, prepend=-1) != 1) | (keys % cells.extent == 0))
+    lengths = np.diff(first, append=keys.size)
+    rows, cols = np.divmod(keys[first], cells.extent)
+    octave, degree = np.divmod(cells.extent - 1 - rows, len(intervals))
     # rows and columns stay below 2**31, so neither the pitch sum nor the
     # tick products can wrap int64, and no pitch falls below base_pitch
     pitch = (base_pitch + np.array(intervals))[degree] + 12 * octave
     return Notes(
-        cols[first] * TICKS_PER_CELL,
+        cols * TICKS_PER_CELL,
         lengths * TICKS_PER_CELL,
         np.minimum(pitch, 127),
         clamped_high=int(np.count_nonzero(pitch > 127)),

@@ -57,7 +57,7 @@ def _check_zoom(extent: int, zoom: int) -> int:
 def _zoomed(pixels: np.ndarray, zoom: int) -> np.ndarray:
     if zoom == 1:
         return pixels
-    return np.kron(pixels, np.ones((zoom, zoom), dtype=np.uint8))
+    return pixels.repeat(zoom, axis=0).repeat(zoom, axis=1)
 
 
 def render_cellset(cells: CellSet, zoom: int = 1) -> RasterImage:

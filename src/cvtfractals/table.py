@@ -54,8 +54,7 @@ class CellSet:
     A cell enters and is held as its key row * extent + col, so row-major
     order is key order: the constructor takes a 1-D integer array or iterable
     of keys, and `keys` is one read-only, sorted, duplicate-free int64 array.
-    Iteration builds sorted (row, col) tuples on demand. The private `_boxes`,
-    outside the fields, holds (box size, sorted box keys) of the last box count.
+    Iteration builds sorted (row, col) tuples on demand.
     """
 
     base: int
@@ -81,7 +80,6 @@ class CellSet:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_boxes", (1, keys))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

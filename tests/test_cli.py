@@ -233,6 +233,8 @@ def test_bad_flag_values_are_usage_errors(capsys):
     assert run(["cvt", "--base", "x", "3", "4"]) == 2
     assert run(["music", "--base", "2", "--depth", "3", "--base-pitch", "128",
                 "--midi", "x.mid"]) == 2
+    # the overlay's estimate needs two scales, like `dimension --depth`
+    assert run(["overlay", "--small", "2", "--depth", "1"]) == 2
 
 
 def test_runtime_errors_exit_one(capsys, tmp_path):

@@ -115,7 +115,10 @@ class TestBaseForTarget:
             assert abs(achieved - target) < 0.03
 
     def test_matches_linear_scan(self):
-        for target in np.linspace(1.59, 1.80, 22):
+        exact = [similarity_dimension(n) for n in range(2, 60)]
+        # exact dimensions, and midpoints that tie toward the smaller base
+        midpoints = [(lo + hi) / 2 for lo, hi in zip(exact, exact[1:])]
+        for target in [*np.linspace(1.59, 1.80, 22), *exact, *midpoints]:
             expected = min(range(2, 60), key=lambda n: (abs(similarity_dimension(n) - target), n))
             base, _ = base_for_target_dimension(float(target))
             assert base == expected

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,11 +71,24 @@ class TestIterateOverflowFractal:
         assert len(iterate_overflow_fractal(gen, depth)) == len(gen) ** depth
 
     def test_substitution_self_similarity(self):
-        gen = overflow_generator(2)
+        # k + 1 times fewer boxes at each coarser scale: the overlay's measured
+        # slope of 1 is exact
         depth = 4
-        iterated = iterate_overflow_fractal(gen, depth)
-        for j in range(depth + 1):
-            assert box_count(iterated, 3**j) == 3 ** (depth - j)
+        for k in range(2, 6):
+            iterated = iterate_overflow_fractal(overflow_generator(k), depth)
+            for j in range(depth + 1):
+                assert box_count(iterated, (k + 1) ** j) == (k + 1) ** (depth - j)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_closed_form(self, k):
+        # every level places x + y = k, so a cell is a + b = E - 1 with no
+        # carry: row a holds the one column E - 1 - a
+        depth = 1
+        while (extent := (k + 1) ** depth) <= 10**5:
+            a = np.arange(extent)
+            keys = iterate_overflow_fractal(overflow_generator(k), depth).keys
+            assert np.array_equal(keys, a * (extent - 1) + (extent - 1))
+            depth += 1
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -48,14 +51,17 @@ class TestRenderCellset:
     @given(
         st.integers(min_value=2, max_value=4),
         st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=4),
         st.data(),
     )
-    def test_pixels_mark_exactly_the_cells(self, base, depth, data):
+    def test_pixels_mark_exactly_the_cells(self, base, depth, zoom, data):
         extent = base**depth
         coord = st.integers(min_value=0, max_value=extent - 1)
         pairs = set(data.draw(st.lists(st.tuples(coord, coord), max_size=30)))
-        pixels = render_cellset(CellSet(base, depth, cell_keys(pairs, extent))).pixels.tolist()
-        assert pixels == [[int((r, c) in pairs) for c in range(extent)] for r in range(extent)]
+        cells = CellSet(base, depth, cell_keys(pairs, extent))
+        pixels = render_cellset(cells, zoom=zoom).pixels.tolist()
+        side = range(extent * zoom)
+        assert pixels == [[int((i // zoom, j // zoom) in pairs) for j in side] for i in side]
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
@@ -91,6 +97,16 @@ class TestRenderTable:
 
         table = CvTable(2, 1, np.zeros((2, 2), dtype=np.int64))
         assert not render_table(table).pixels.any()
+
+    def test_zoom_repeats_each_gray_value(self):
+        table, zoom = build_table(3, 2), 3
+        values = table.values.tolist()
+        top = max(map(max, values))
+        gray = [[math.floor(Fraction(255 * v, top) + Fraction(1, 2)) for v in row]
+                for row in values]
+        side = range(table.extent * zoom)
+        expected = [[gray[i // zoom][j // zoom] for j in side] for i in side]
+        assert render_table(table, zoom=zoom).pixels.tolist() == expected
 
     def test_renormalization_idempotent(self):
         table = build_table(3, 2)
