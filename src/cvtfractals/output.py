@@ -13,23 +13,25 @@ from typing import Iterable
 
 import numpy as np
 
-# values encoded per block: bounds the working memory to a few MB per call
-BLOCK_VALUES = 1 << 18
+# values encoded per block: a few MB of buffers, which each block after the
+# first gets back from the heap instead of faulting them in again
+BLOCK_VALUES = 1 << 16
 # maxima below this are spelled once into a lookup table, then gathered
 _TABLE_LIMIT = 1 << 16
+# wider values are spelled in groups of four decimal digits
+_GROUP = 10**4
 
 
-def _spell(values: np.ndarray, width: int, sep: int) -> np.ndarray:
-    """(n, width) uint8 rows: decimal digits right-aligned before a sep byte.
+def _spell(values: np.ndarray, width: int, fill: int = 0) -> np.ndarray:
+    """(n, width) uint8 rows: decimal digits right-aligned after `fill` bytes.
 
-    Bytes left of the leading digit stay 0, which no output byte can be.
+    A fill of 0 is padding, which no output byte can be.
     """
-    out = np.zeros((values.size, width), dtype=np.uint8)
-    out[:, -1] = sep
+    out = np.full((values.size, width), fill, dtype=np.uint8)
     rest = values.astype(np.int64)
-    np.add(rest % 10, ord("0"), out=out[:, -2], casting="unsafe")
+    np.add(rest % 10, ord("0"), out=out[:, -1], casting="unsafe")
     rest //= 10
-    for col in range(width - 3, -1, -1):
+    for col in range(width - 2, -1, -1):
         np.copyto(out[:, col], rest % 10 + ord("0"), casting="unsafe", where=rest > 0)
         rest //= 10
     return out
@@ -40,7 +42,8 @@ def ascii_rows(values, sep: str) -> Iterable[bytes]:
 
     Each row's decimal values are joined by `sep` and the row ends with a
     newline; a row of no values is an empty line. Blocks hold BLOCK_VALUES
-    values, so a block may end in the middle of a row.
+    values, so a block may end in the middle of a row. Values above 2**63 - 1
+    are refused.
     """
     values = np.ascontiguousarray(values)
     rows, cols = values.shape
@@ -51,23 +54,45 @@ def ascii_rows(values, sep: str) -> Iterable[bytes]:
         raise ValueError("ascii_rows encodes non-negative integers only")
     flat = values.reshape(-1)
     top = int(flat.max())
+    if top > np.iinfo(np.int64).max:
+        raise ValueError(f"ascii_rows encodes integers up to 2**63 - 1, got {top}")
     ndig = len(str(top))
-    if top < _TABLE_LIMIT:
-        # whole rows of a power-of-two width gather as single machine words
+    wide = top >= _TABLE_LIMIT
+    if not wide:
+        # a value and its separator, in a power-of-two width, gather as one machine word
         width = 1 << ndig.bit_length()
-        table = _spell(np.arange(top + 1), width, ord(sep)).view(f"u{width}").reshape(-1)
+        spelled = np.full((top + 1, width), ord(sep), dtype=np.uint8)
+        spelled[:, :-1] = _spell(np.arange(top + 1), width - 1)
+        table = spelled.view(f"u{width}").reshape(-1)
     else:
-        width, table = ndig + 1, None
+        # a value is groups of four digits in 4-byte words, then a separator word:
+        # index g holds g bare, _GROUP + g holds g zero-padded
+        groups = -(-ndig // 4)
+        width = 4 * (groups + 1)
+        index = np.arange(_GROUP)
+        lowest = np.concatenate((_spell(index, 4), _spell(index, 4, ord("0")))).view("u4")[:, 0]
+        upper = lowest.copy()
+        upper[0] = 0  # a zero above the leading group spells nothing
+        sep_word = np.array([0, 0, 0, ord(sep)], dtype=np.uint8).view("u4")
     for start in range(0, flat.size, BLOCK_VALUES):
         chunk = flat[start : start + BLOCK_VALUES]
-        if table is None:
-            buf = _spell(chunk, width, ord(sep))
-        else:
+        if not wide:
             buf = table[chunk].view(np.uint8).reshape(-1, width)
+        else:
+            words = np.empty((chunk.size, groups + 1), dtype=np.uint32)
+            words[:, -1:] = sep_word
+            rest = chunk.astype(np.int64, copy=False)
+            for col in range(groups - 1, -1, -1):
+                high = rest // _GROUP
+                # bare below _GROUP, else the low group padded: _GROUP + rest % _GROUP
+                slot = np.minimum(rest, rest - (high - 1) * _GROUP)
+                words[:, col] = (upper if col < groups - 1 else lowest)[slot]
+                rest = high
+            buf = words.view(np.uint8)
         buf[(cols - 1 - start) % cols :: cols, -1] = ord("\n")
-        out = buf.reshape(-1)
+        out = buf.tobytes()
         # one-digit values fill every byte; otherwise drop the 0 padding
-        yield (out if width == 2 else out[out != 0]).tobytes()
+        yield out if width == 2 else out.translate(None, b"\0")
 
 
 def write_chunks(path, chunks: Iterable[bytes]) -> None:

@@ -72,12 +72,18 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     """Gray image of a table, intensities normalized to the maximum carry value.
 
     Intensity is 255 * value / max, rounded half up in exact integer
-    arithmetic; an all-zero table renders all black.
+    arithmetic; an all-zero table renders all black. A negative value is
+    refused with ValueError.
     """
     zoom = _check_zoom(table.extent, zoom)
-    max_value = max(int(table.values.max()), 1)
+    values = table.values
+    if values.min() < 0:
+        raise ValueError("carry values must be non-negative")
+    max_value = max(int(values.max()), 1)
+    if 511 * max_value > np.iinfo(np.int64).max:
+        values = values.astype(object)  # 510 * v + max would overflow int64
     # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max)
-    gray = (table.values * 510 + max_value) // (2 * max_value)
+    gray = (values * 510 + max_value) // (2 * max_value)
     return RasterImage(_zoomed(gray.astype(np.uint8), zoom), GRAY)
 
 

@@ -138,16 +138,15 @@ def build_table(base: int, digits_k: int) -> CvTable:
     if digits_k < 1:
         raise ValueError(f"digits_k must be >= 1, got {digits_k}")
     _check_extent(base, digits_k, MAX_TABLE_EXTENT, "table")
-    extent = base**digits_k
-    values = np.zeros((extent, extent), dtype=np.int64)
-    quotients = np.arange(extent, dtype=np.int64)
-    place = base
+    digit = np.arange(base)
+    # carry out of one digit position: 1 exactly when the digit sum reaches base
+    carry = np.add.outer(digit, digit) >= base
+    values = np.zeros((1, 1), dtype=np.int64)
     for _ in range(digits_k):
-        digit = quotients % base
-        # carry digit at this position is 1 exactly when the digit sum reaches base
-        values += ((digit[:, None] + digit[None, :]) >= base) * place
-        quotients //= base
-        place *= base
+        # with a = A * base + a0, cvt(a, b) = base * (cvt(A, B) + carry[a0, b0])
+        side = values.shape[0] * base
+        values = np.add(values[:, None, :, None], carry[None, :, None, :]).reshape(side, side)
+        values *= base
     return CvTable(base, digits_k, values)
 
 

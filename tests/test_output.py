@@ -92,7 +92,7 @@ class TestAsciiRows:
         st.sampled_from([" ", ","]),
     )
     def test_matches_join(self, table_limit, values, sep):
-        # a limit of 0 spells every value by division, never by lookup table
+        # a limit of 0 forces the four-digit-group path on every array, never the lookup table
         old = output._TABLE_LIMIT
         output._TABLE_LIMIT = table_limit
         try:
@@ -116,8 +116,34 @@ class TestAsciiRows:
         assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
         assert len(list(ascii_rows(gray, " "))) == -(-gray.size // block)
 
+    @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
+    @pytest.mark.parametrize("sep", [" ", ","])
+    def test_four_digit_group_boundaries(self, table_limit, sep, monkeypatch):
+        # the values on each side of every group boundary, mixed with short ones
+        monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
+        edges = [10 ** (4 * j) + d for j in range(1, 5) for d in (-1, 0, 1)]
+        values = np.array([edges, [0, 1, 9, 10, 99, 100, 2**63 - 1, 2**16, 2**16 - 1, 7, 0, 5]])
+        expected = "".join(sep.join(map(str, row)) + "\n" for row in values.tolist())
+        assert b"".join(ascii_rows(values, sep)) == expected.encode()
+
+    @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+    def test_narrow_dtypes(self, table_limit, dtype, monkeypatch):
+        monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
+        top = np.iinfo(dtype).max
+        values = np.array([[0, top, 1], [top // 3, 10, top - 1]], dtype=dtype)
+        expected = "".join(",".join(map(str, row)) + "\n" for row in values.tolist())
+        assert b"".join(ascii_rows(values, ",")) == expected.encode()
+
     @pytest.mark.parametrize(
-        "values", [np.array([[1, -1]]), np.array([[0.0, 1.0]]), np.array([[True]])]
+        "values",
+        [
+            np.array([[1, -1]]),
+            np.array([[0.0, 1.0]]),
+            np.array([[True]]),
+            # past int64: it used to be cast and misspelled as b"9,5\n"
+            np.array([[2**64 - 1, 5]], dtype=np.uint64),
+        ],
     )
     def test_rejects_non_natural_values(self, values):
         with pytest.raises(ValueError):

@@ -92,6 +92,29 @@ class TestRenderTable:
         table = CvTable(2, 1, np.array([[0, 1], [1, 6]], dtype=np.int64))
         assert render_table(table).pixels.tolist() == [[0, 43], [43, 255]]
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 10**17], [3 * 10**16, 77 * 10**15]],
+        [[0, 2**61], [1, 2**60]],
+        [[0, 2**63 - 1], [2**62, 2**63 - 2]],
+    ])
+    def test_values_past_int64_products_round_exactly(self, rows):
+        # 510 * v overflows int64 here; the oracle rounds in Python integers
+        from cvtfractals import CvTable
+
+        top = max(map(max, rows))
+        expected = [[(510 * v + top) // (2 * top) for v in row] for row in rows]
+        table = CvTable(2, 1, np.array(rows, dtype=np.int64))
+        assert render_table(table).pixels.tolist() == expected
+        if rows[0][1] == 10**17:
+            assert expected == [[0, 255], [77, 196]]
+
+    def test_negative_values_are_refused(self):
+        from cvtfractals import CvTable
+
+        for rows in ([[0, -3], [1, 2]], [[0, -3], [-1, -2]]):
+            with pytest.raises(ValueError):
+                render_table(CvTable(2, 1, np.array(rows, dtype=np.int64)))
+
     def test_all_zero_table_is_black(self):
         from cvtfractals import CvTable
 

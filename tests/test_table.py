@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -54,6 +55,29 @@ class TestBuildTable:
             a = rng.randrange(table.extent)
             b = rng.randrange(table.extent)
             assert table.values[a, b] == cvt(a, b, base)
+
+    @pytest.mark.parametrize(
+        "base,k", [(b, k) for b in range(2, 82) for k in range(1, 7) if b**k <= 81]
+    )
+    def test_equals_digit_oracle(self, base, k):
+        # the carry out of digit position j is worth base**(j + 1)
+        def oracle(a, b):
+            da, db = digits(a, base) + [0] * k, digits(b, base) + [0] * k
+            return sum(base ** (j + 1) for j in range(k) if da[j] + db[j] >= base)
+
+        extent = base**k
+        expected = [[oracle(a, b) for b in range(extent)] for a in range(extent)]
+        assert build_table(base, k).values.tolist() == expected
+
+    @pytest.mark.parametrize("base,k,digest", [
+        (2, 12, "a002394aaba0a184531a1369c808530170b895207b9280d0282591427531b096"),
+        (64, 2, "f119f29a17a88066eb94401a578bfb3946ebb6a270eb08337e0753a3ff74c253"),
+        (4096, 1, "239fc712f3903d2071b06f777c3842ee028d6e70bcb368a7916d41af950ad8fd"),
+    ])
+    def test_tables_at_the_extent_limit_are_pinned(self, base, k, digest):
+        values = build_table(base, k).values
+        assert values.dtype == np.int64
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
     def test_symmetric(self):
         table = build_table(4, 2)
