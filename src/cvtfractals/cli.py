@@ -7,7 +7,6 @@ Results go to standard output, diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Sequence
 
@@ -156,9 +155,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand: built on the first call, then shared by every caller."""
     parser = argparse.ArgumentParser(
         prog="cvtfractals",
         description="Carry-value fractals: patterns, dimensions, images, melodies.",

@@ -12,6 +12,7 @@ from .output import ascii_rows, write_chunks
 from .table import CellSet, CvTable
 
 MAX_SIDE = 1 << 14
+_MAX_GRAY_VALUE = np.iinfo(np.int64).max // 511  # so 510 * v + max stays in int64
 
 BILEVEL = "bilevel"
 GRAY = "gray"
@@ -72,18 +73,17 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     """Gray image of a table, intensities normalized to the maximum carry value.
 
     Intensity is 255 * value / max, rounded half up in exact integer
-    arithmetic; an all-zero table renders all black. A negative value is
-    refused with ValueError.
+    arithmetic; an all-zero table renders all black. A negative value, or a
+    maximum past int64_max // 511, is refused with ValueError.
     """
     zoom = _check_zoom(table.extent, zoom)
-    values = table.values
-    if values.min() < 0:
+    if table.values.min() < 0:
         raise ValueError("carry values must be non-negative")
-    max_value = max(int(values.max()), 1)
-    if 511 * max_value > np.iinfo(np.int64).max:
-        values = values.astype(object)  # 510 * v + max would overflow int64
+    max_value = max(int(table.values.max()), 1)
+    if max_value > _MAX_GRAY_VALUE:
+        raise ValueError(f"carry value {max_value} exceeds limit {_MAX_GRAY_VALUE}")
     # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max)
-    gray = (values * 510 + max_value) // (2 * max_value)
+    gray = (table.values * 510 + max_value) // (2 * max_value)
     return RasterImage(_zoomed(gray.astype(np.uint8), zoom), GRAY)
 
 

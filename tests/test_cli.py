@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -312,56 +311,3 @@ def test_value_pattern_over_the_cell_limit_is_refused_cleanly():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "exceeds limit" in lines[0]
-
-
-# Runs each argv of the JSON list argv[1] through cli.run in this one process,
-# each in a new directory argv[2]/<i>, and prints per call its exit code,
-# stdout, stderr and the bytes of every file it wrote.
-SEQUENCE_DRIVER = """
-import contextlib, io, json, os, sys
-from pathlib import Path
-from cvtfractals.cli import run
-results = []
-for i, argv in enumerate(json.loads(sys.argv[1])):
-    os.makedirs(os.path.join(sys.argv[2], str(i)))
-    os.chdir(os.path.join(sys.argv[2], str(i)))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    files = {path.name: path.read_bytes().hex() for path in sorted(Path(".").iterdir())}
-    results.append([code, out.getvalue(), err.getvalue(), files])
-print(json.dumps(results))
-"""
-
-
-def run_in_one_process(argvs, workdir):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "COLUMNS": "80",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SEQUENCE_DRIVER, json.dumps(argvs), str(workdir)],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    return json.loads(proc.stdout)
-
-
-def test_calls_in_one_process_match_calls_run_alone(tmp_path):
-    # run() shares one parser among the calls of a process: no call, failed or
-    # not, may leave anything in it that changes a later call
-    argvs = [
-        ["table", "--base", "1", "--digits", "2"],
-        ["fractal", "--base", "2", "--depth", "25"],
-        ["--help"],
-        ["table", "--base", "3", "--digits", "2", "--csv", "t.csv", "--pgm", "t.pgm"],
-        ["fractal", "--base", "3", "--depth", "2", "--value", "3", "--pbm", "f.pbm",
-         "--cells", "f.csv"],
-        # --value falls back to its default after a call that set it
-        ["fractal", "--base", "2", "--depth", "2", "--cells", "z.csv"],
-    ]
-    together = run_in_one_process(argvs, tmp_path / "together")
-    alone = [run_in_one_process([argv], tmp_path / f"alone-{i}")[0]
-             for i, argv in enumerate(argvs)]
-    assert [call[0] for call in together] == [2, 1, 0, 0, 0, 0]
-    assert [sorted(call[3]) for call in together[3:]] == [
-        ["t.csv", "t.pgm"], ["f.csv", "f.pbm"], ["z.csv"]]
-    assert together[2][1].startswith("usage: cvtfractals")
-    for argv, got, expected in zip(argvs, together, alone):
-        assert got == expected, argv

@@ -103,18 +103,24 @@ class TestAsciiRows:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
     def test_block_boundaries(self, block, monkeypatch, tmp_path):
-        # with 7 columns most of these block sizes end a block mid-row
+        # with 7 columns most of these block sizes end a block mid-row;
+        # _TABLE_LIMIT = 0 sends every array down the four-digit-group path
         monkeypatch.setattr(output, "BLOCK_VALUES", block)
-        rng = np.random.default_rng(block)
-        gray = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)
-        assert b"".join(_pnm_chunks(RasterImage(gray, "gray"))) == pnm_bytes(gray, "gray")
-        bits = rng.integers(0, 2, size=(6, 7)).astype(np.uint8)
-        image = RasterImage(bits, "bilevel")
-        assert b"".join(_pnm_chunks(image)) == pnm_bytes(bits, "bilevel")
-        tab = build_table(3, 2)
-        write_table_csv(tab, tmp_path / "t.csv")
-        assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
-        assert len(list(ascii_rows(gray, " "))) == -(-gray.size // block)
+        for table_limit in (0, output._TABLE_LIMIT):
+            monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
+            rng = np.random.default_rng(block)
+            gray = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)
+            assert b"".join(_pnm_chunks(RasterImage(gray, "gray"))) == pnm_bytes(gray, "gray")
+            bits = rng.integers(0, 2, size=(6, 7)).astype(np.uint8)
+            image = RasterImage(bits, "bilevel")
+            assert b"".join(_pnm_chunks(image)) == pnm_bytes(bits, "bilevel")
+            tab = build_table(3, 2)
+            write_table_csv(tab, tmp_path / "t.csv")
+            assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
+            assert len(list(ascii_rows(gray, " "))) == -(-gray.size // block)
+            wide = rng.integers(0, 10**13, size=(4, 7))
+            expected = "".join(",".join(map(str, row)) + "\n" for row in wide.tolist())
+            assert b"".join(ascii_rows(wide, ",")) == expected.encode()
 
     @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
     @pytest.mark.parametrize("sep", [" ", ","])

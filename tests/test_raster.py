@@ -96,17 +96,28 @@ class TestRenderTable:
         [[0, 10**17], [3 * 10**16, 77 * 10**15]],
         [[0, 2**61], [1, 2**60]],
         [[0, 2**63 - 1], [2**62, 2**63 - 2]],
+        [[0, (2**63 - 1) // 511 + 1], [1, 2]],
     ])
-    def test_values_past_int64_products_round_exactly(self, rows):
-        # 510 * v overflows int64 here; the oracle rounds in Python integers
+    def test_values_past_int64_products_are_refused(self, rows):
+        # 510 * v + max would overflow int64 here (it gave [[0, 234], [240, 12]]
+        # for the first table, 0 for 2**60 in the second, OverflowError in the third)
         from cvtfractals import CvTable
 
-        top = max(map(max, rows))
-        expected = [[(510 * v + top) // (2 * top) for v in row] for row in rows]
         table = CvTable(2, 1, np.array(rows, dtype=np.int64))
+        with pytest.raises(ValueError, match="exceeds limit"):
+            render_table(table)
+
+    def test_largest_admitted_value_rounds_exactly(self):
+        # at the limit every product stays in int64; the oracle rounds in Python ints
+        from cvtfractals import CvTable
+
+        top = (2**63 - 1) // 511
+        rows = [[0, top, 1, 2], [top // 3, top // 2, top - 1, 2 * top // 3],
+                [top // 510, top // 510 + 1, top // 255, 3 * top // 4],
+                [top // 7, 5 * top // 7, top - 2, top // 1000]]
+        expected = [[(510 * v + top) // (2 * top) for v in row] for row in rows]
+        table = CvTable(2, 2, np.array(rows, dtype=np.int64))
         assert render_table(table).pixels.tolist() == expected
-        if rows[0][1] == 10**17:
-            assert expected == [[0, 255], [77, 196]]
 
     def test_negative_values_are_refused(self):
         from cvtfractals import CvTable
