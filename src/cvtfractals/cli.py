@@ -35,6 +35,13 @@ _nonneg_arg = _int_arg(0)
 _pos_arg = _int_arg(1)
 
 
+def _write(path, write) -> None:
+    """Call write(path) and report it, when the option naming path was given."""
+    if path is not None:  # an empty path is given too, and fails in write
+        write(path)
+        print(f"wrote {path}")
+
+
 def _cmd_cvt(args) -> int:
     carry = radix.cvt(args.a, args.b, args.base)
     residue = radix.sum_without_carry(args.a, args.b, args.base)
@@ -51,12 +58,8 @@ def _cmd_table(args) -> int:
     tab = table.build_table(args.base, args.digits)
     print(f"CV table base {args.base}, {args.digits} digit(s):"
           f" extent {tab.extent}, max carry value {int(tab.values.max())}")
-    if args.csv:
-        table.write_table_csv(tab, args.csv)
-        print(f"wrote {args.csv}")
-    if args.pgm:
-        raster.write_pnm(raster.render_table(tab, zoom=args.zoom), args.pgm)
-        print(f"wrote {args.pgm}")
+    _write(args.csv, lambda path: table.write_table_csv(tab, path))
+    _write(args.pgm, lambda path: raster.write_pnm(raster.render_table(tab, zoom=args.zoom), path))
     return 0
 
 
@@ -68,12 +71,9 @@ def _cmd_fractal(args) -> int:
     cells = table.carry_value_set(args.base, args.depth, value)
     print(f"pattern of carry value {value} in base {args.base}, depth {args.depth}:"
           f" {len(cells)} cells on a {cells.extent}x{cells.extent} grid")
-    if args.pbm:
-        raster.write_pnm(raster.render_cellset(cells, zoom=args.zoom), args.pbm)
-        print(f"wrote {args.pbm}")
-    if args.cells:
-        table.write_cells_csv(cells, args.cells)
-        print(f"wrote {args.cells}")
+    _write(args.pbm,
+           lambda path: raster.write_pnm(raster.render_cellset(cells, zoom=args.zoom), path))
+    _write(args.cells, lambda path: table.write_cells_csv(cells, path))
     return 0
 
 
@@ -94,9 +94,7 @@ def _cmd_dimension(args) -> int:
         est = dimension.estimate_dimension(cells)
         print(f"box-count estimate (depth {args.depth}) = {est.slope:.6f}"
               f" (fit quality {est.fit_quality:.6f})")
-        if args.report:
-            dimension.write_dimension_csv(est, args.report)
-            print(f"wrote {args.report}")
+        _write(args.report, lambda path: dimension.write_dimension_csv(est, path))
     return 0
 
 
@@ -111,12 +109,8 @@ def _cmd_target_base(args) -> int:
 def _cmd_overlay(args) -> int:
     report = overlay.analyze_overlay(args.small, args.depth)
     print(report.to_text())
-    if args.report:
-        overlay.write_overlay_report(report, args.report)
-        print(f"wrote {args.report}")
-    if args.csv:
-        overlay.write_overlay_scales_csv(report, args.csv)
-        print(f"wrote {args.csv}")
+    _write(args.report, lambda path: overlay.write_overlay_report(report, path))
+    _write(args.csv, lambda path: overlay.write_overlay_scales_csv(report, path))
     return 0
 
 
@@ -127,11 +121,8 @@ def _cmd_music(args) -> int:
     if notes.clamped_high:
         print(f"note: clamped {notes.clamped_high} of {len(notes)} pitches above 127 to 127",
               file=sys.stderr)
-    melody.write_midi(notes, tempo_bpm=args.tempo, path=args.midi)
-    print(f"wrote {args.midi}")
-    if args.csv:
-        melody.write_notes_csv(notes, args.csv)
-        print(f"wrote {args.csv}")
+    _write(args.midi, lambda path: melody.write_midi(notes, tempo_bpm=args.tempo, path=path))
+    _write(args.csv, lambda path: melody.write_notes_csv(notes, path))
     if args.spectrum:
         # the melody is a valid artifact even when its top voice is constant
         # or too short to analyze; report that instead of failing the run
@@ -239,3 +230,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -54,8 +54,6 @@ _COLUMN_BOUNDS = {
     "duration": (1, 2**62 - 1),
     "pitch": (0, 127),
 }
-# delta times that take one more VLQ byte each
-_VLQ_STEPS = np.array([2**7, 2**14, 2**21])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +167,8 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
 
     The periodogram is |DFT|^2 / length at frequencies j/length for
     j = 1..length//2; the fit is ordinary least squares on the log-log points,
-    excluding the DC bin and any zero-power bins. A flat spectrum, where every
+    excluding the DC bin and any bin at or below the rounding floor
+    max power * length * eps**2. A constant series or a flat spectrum, where every
     usable bin carries the same power, has no slope to fit and is refused.
     """
     arr = np.asarray(series, dtype=float)
@@ -178,12 +177,12 @@ def spectral_exponent(series: Sequence[float]) -> SpectralReport:
     n = int(arr.size)
     if n < MIN_SPECTRUM_LENGTH:
         raise InsufficientDataError(f"need at least {MIN_SPECTRUM_LENGTH} samples, got {n}")
-    centered = arr - arr.mean()
-    if not centered.any():
+    # decided on the input: removing a rounded mean leaves residue in a constant series
+    if np.ptp(arr) == 0:
         raise DegenerateSeriesError("series has zero variance")
-    power = np.abs(np.fft.rfft(centered)[1:]) ** 2 / n
+    power = np.abs(np.fft.rfft(arr - arr.mean())[1:]) ** 2 / n
     freqs = np.arange(1, power.size + 1) / n
-    usable = power > 0
+    usable = power > power.max() * n * np.finfo(float).eps ** 2
     if int(usable.sum()) < 2:
         raise DegenerateSeriesError("fewer than 2 frequency bins carry power")
     log_power = np.log(power[usable])
@@ -224,15 +223,17 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     longest = int(delta.max()) if delta.size else 0
     if longest > MAX_DELTA:
         raise ValueError(f"delta time {longest} exceeds the MIDI limit {MAX_DELTA}")
-    vlq_size = 1 + np.searchsorted(_VLQ_STEPS, delta, side="right")
-    ends = np.cumsum(vlq_size + 3)
-    body = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    for k, shift in enumerate((16, 8, 0)):
-        body[ends - 3 + k] = event >> shift & 0xFF
-    # the VLQ's last byte carries the low 7 bits; earlier ones set the high bit
-    for j in range(4):
-        has = vlq_size > j
-        body[ends[has] - 4 - j] = delta[has] >> 7 * j & 0x7F | (0x80 if j else 0)
+    # one 7-byte record per event, the low bytes of a big-endian word: the delta
+    # as a four-byte VLQ, 7 bits a byte with the high bit set on all but the
+    # last, then status, pitch and velocity; leading VLQ bytes with no bits are dropped
+    word = 0x80_80_80_00 << 24 | event
+    for k in range(4):
+        word |= (delta >> 7 * k & 0x7F) << 8 * k + 24
+    record = word.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 1:]
+    keep = np.ones(record.shape, dtype=bool)
+    for k in range(1, 4):
+        keep[:, 3 - k] = delta >> 7 * k > 0
+    body = record[keep]
     tempo = b"\x00\xff\x51\x03" + micros_per_quarter.to_bytes(3, "big")
     end_of_track = b"\x00\xff\x2f\x00"
     track_size = len(tempo) + body.size + len(end_of_track)

@@ -109,8 +109,7 @@ def write_chunks(path, chunks: Iterable[bytes]) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         return
     # replace the file a symlink points to, not the link, as open() would
     target = os.path.realpath(path)
@@ -130,8 +129,7 @@ def write_chunks(path, chunks: Iterable[bytes]) -> None:
         with open(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))  # open() keeps an existing file's mode
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

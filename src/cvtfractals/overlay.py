@@ -18,7 +18,7 @@ import numpy as np
 from .dimension import DimensionEstimate, estimate_dimension
 from .output import write_chunks
 from .radix import _check_base
-from .table import CellSet, _substitute
+from .table import MAX_SPARSE_EXTENT, CellSet, _check_extent, _substitute
 
 # the increment this construction is conventionally assigned: 3 copies at
 # scale 1/2, the Sierpinski gasket value
@@ -62,9 +62,10 @@ def overflow_generator(small_base: int) -> CellSet:
     """Cells of the base-(k+1) generator not covered by the corner-embedded base-k one.
 
     k is small_base; the difference is the anti-diagonal x + y = k, which has
-    k + 1 cells.
+    k + 1 cells. A grid wider than MAX_SPARSE_EXTENT is refused before any is built.
     """
     small_base = _check_base(small_base)
+    _check_extent(small_base + 1, 1, MAX_SPARSE_EXTENT, "pattern")
     # cell (x, k - x) on the (k + 1)-wide grid has key x * (k + 1) + k - x
     return CellSet(small_base + 1, 1, np.arange(small_base + 1) * small_base + small_base)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cvtfractals import raster
 from cvtfractals.cli import run
 from helpers import parse_pnm, parse_smf
 
@@ -291,23 +292,67 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
+def _run_module(module, *argv, **kwargs):
+    """Run `python -m module argv` on this checkout's package in a subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
+
+
 def test_value_pattern_over_the_cell_limit_is_refused_cleanly():
-    # a dense carry-value table on this 2**20 grid would need 8 TiB; under a 1 GiB
-    # address-space limit any attempt to build it fails fast instead of paging
+    # a dense carry-value table on this 2**20 grid would need 8 TiB, and the overflow
+    # generator of base 2**30 8 GiB; under a 1 GiB address-space limit any attempt
+    # to build either fails fast instead of paging
     resource = pytest.importorskip("resource")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cvtfractals", "fractal", "--base", "2", "--depth", "20",
-         "--value", "2"],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "exceeds limit" in lines[0]
+    for argv in (["fractal", "--base", "2", "--depth", "20", "--value", "2"],
+                 ["overlay", "--small", "1073741824", "--depth", "2"]):
+        proc = _run_module("cvtfractals", *argv, preexec_fn=limit_memory)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "exceeds limit" in lines[0]
+
+
+def test_cli_module_runs_as_a_script():
+    proc = _run_module("cvtfractals.cli", "fractal", "--base", "2", "--depth", "3")
+    assert proc.returncode == 0
+    assert proc.stdout == "pattern of carry value 0 in base 2, depth 3: 27 cells on a 8x8 grid\n"
+    assert _run_module("cvtfractals.cli").returncode == 2
+
+
+@pytest.mark.parametrize("argv,renderer", [
+    (["table", "--base", "3", "--digits", "2", "--zoom", "100000", "--csv"], "render_table"),
+    (["fractal", "--base", "3", "--depth", "2", "--cells"], "render_cellset"),
+], ids=["table", "fractal"])
+def test_no_image_is_rendered_unless_asked_for(capsys, tmp_path, monkeypatch, argv, renderer):
+    # an unused --zoom stays unchecked: only the image it scales would refuse it
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{renderer} ran without an image to write")
+
+    monkeypatch.setattr(raster, renderer, refuse)
+    path = tmp_path / "out.csv"
+    assert run([*argv, str(path)]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("wrote")] == [f"wrote {path}"]
+    assert path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["music", "--base", "2", "--depth", "2", "--midi", ""],
+    ["table", "--base", "2", "--digits", "2", "--csv", ""],
+], ids=["music-midi", "table-csv"])
+def test_empty_output_path_is_an_error(capsys, tmp_path, monkeypatch, argv):
+    # an empty path names the working directory, which no file can replace
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == ["work"]

@@ -183,8 +183,20 @@ class TestSpectralExponent:
         assert 1.6 <= report.beta <= 2.4
 
     def test_constant_series(self):
-        with pytest.raises(DegenerateSeriesError):
-            spectral_exponent([5.0] * 64)
+        # 0.3, 0.7 and 107.3 have no exact float mean, so mean removal leaves residue
+        for series in ([5.0] * 64, [0.3] * 1000, [0.7] * 100, [107.3] * 1024):
+            with pytest.raises(DegenerateSeriesError, match="zero variance"):
+                spectral_exponent(series)
+
+    @pytest.mark.parametrize("series", [
+        np.cos(2 * np.pi * 3 * np.arange(64) / 64),
+        np.sin(2 * np.pi * 5 * np.arange(128) / 128) + 3,
+        [1.0, -1.0] * 32,
+    ], ids=["cos-3-of-64", "sin-5-of-128", "nyquist"])
+    def test_pure_tone_has_one_bin_above_rounding(self, series):
+        # every other bin holds only FFT round-off, which is no slope to fit
+        with pytest.raises(DegenerateSeriesError, match="fewer than 2 frequency bins"):
+            spectral_exponent(series)
 
     @pytest.mark.parametrize("series", [
         # the top voice of `music --base 2 --depth 6 --base-pitch 0`; its periodogram
