@@ -11,7 +11,7 @@ import sys
 from typing import Sequence
 
 from . import dimension, melody, overlay, radix, raster, table
-from .errors import CvtError, DegenerateSeriesError, InsufficientDataError
+from .errors import CvtError, DegenerateSeriesError, InsufficientDataError, _check_int
 
 
 def _int_arg(lo: int, hi: int | None = None):
@@ -22,10 +22,7 @@ def _int_arg(lo: int, hi: int | None = None):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < lo or hi is not None and value > hi:
-            bound = f"an integer >= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
+        return _check_int("value", value, lo, hi, error=argparse.ArgumentTypeError)
 
     return parse
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,10 @@ from .errors import (
     EmptyInputError,
     InsufficientScalesError,
     InvalidScaleError,
+    _check_base,
+    _check_int,
 )
 from .output import write_chunks
-from .radix import _check_base
 from .table import CellSet, _sort_unique
 
 SEARCH_CAP = 10**6
@@ -96,9 +96,9 @@ def box_count(cells: CellSet, box_size: int) -> int:
     than the one below it, so counting ascending scales costs about one pass
     over the cells.
     """
-    box_size = operator.index(box_size)
+    box_size = _check_int("box_size", box_size, 1, error=InvalidScaleError)
     extent = cells.extent
-    if box_size < 1 or extent % box_size != 0:
+    if extent % box_size != 0:
         raise InvalidScaleError(f"box size {box_size} does not divide extent {extent}")
     size, boxes = getattr(cells, "_boxes", (1, cells.keys))
     if box_size % size:

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checks of integer inputs."""
+
+from __future__ import annotations
+
+import operator
+
+import numpy as np
 
 
 class CvtError(Exception):
@@ -35,3 +41,43 @@ class InsufficientDataError(CvtError, ValueError):
 
 class DegenerateSeriesError(CvtError, ValueError):
     """Series carries no usable spectral information."""
+
+
+def _check_int(name: str, value, lo: int, hi: int | None = None, error=ValueError) -> int:
+    """value as an int, refused with `error` naming `name` unless it is an integer in [lo, hi]."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < lo or hi is not None and number > hi:
+        bound = f"an integer >= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be {bound}, got {value if number is None else number!r}")
+    return number
+
+
+def _check_base(base) -> int:
+    """base as an int, refused with InvalidBaseError unless it is an integer >= 2."""
+    return _check_int("base", base, 2, error=InvalidBaseError)
+
+
+def _int_array(name: str, values, ndim: int,
+               lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """values as an ndim-D array, refused with ValueError naming `name` unless
+    every value is an integer in [lo, hi].
+
+    An empty array passes with any dtype, since numpy reads [] as float64.
+    Without bounds only the shape and dtype are tested, for a caller that
+    tests the ends of a sorted copy instead of paying a min and a max pass.
+    """
+    values = np.asarray(values)
+    if values.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {values.shape}")
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        # bool is not an integer dtype, and Python ints past 64 bits arrive as objects
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    if values.size and lo is not None:
+        # as Python ints, so a uint64 is compared with the bounds exactly
+        low, high = int(values.min()), int(values.max())
+        if low < lo or high > hi:
+            raise ValueError(f"{name} must be in [{lo}, {hi}], got {low if low < lo else high}")
+    return values

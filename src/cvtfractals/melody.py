@@ -20,6 +20,8 @@ from .errors import (
     DegenerateSeriesError,
     EmptyInputError,
     InsufficientDataError,
+    _check_int,
+    _int_array,
 )
 from .dimension import _ols_fit
 from .output import ascii_rows, write_chunks
@@ -74,35 +76,20 @@ class Notes:
     clamped_high: int = field(default=0, kw_only=True)
 
     def __post_init__(self) -> None:
-        columns = {name: _int64_column(name, getattr(self, name), lo, hi)
+        object.__setattr__(self, "clamped_high", _check_int("clamped_high", self.clamped_high, 0))
+        columns = {name: _int_array(name, getattr(self, name), 1, lo, hi)
                    for name, (lo, hi) in _COLUMN_BOUNDS.items()}
         if len({col.size for col in columns.values()}) > 1:
             sizes = ", ".join(f"{name} {col.size}" for name, col in columns.items())
             raise ValueError(f"note columns differ in length: {sizes}")
         order = np.lexsort((columns["pitch"], columns["onset"]))
         for name, col in columns.items():
-            col = col[order]
+            col = col[order].astype(np.int64, copy=False)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return self.onset.size
-
-
-def _int64_column(name: str, values, lo: int, hi: int) -> np.ndarray:
-    """values as a 1-D int64 array, refused with ValueError unless all lie in [lo, hi]."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not arr.size:
-        return np.zeros(0, dtype=np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        # Python ints beyond 64 bits arrive as an object array
-        raise ValueError(f"{name} must hold integers that fit int64, got dtype {arr.dtype}")
-    low, high = arr.min(), arr.max()
-    if low < lo or high > hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {low if low < lo else high}")
-    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -129,8 +116,7 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
         raise EmptyInputError("cannot render an empty cell set")
     if not (isinstance(scale, str) and scale in SCALES):
         raise ValueError(f"unknown scale {scale!r}; choices: {sorted(SCALES)}")
-    if base_pitch not in range(128):
-        raise ValueError(f"base_pitch must be in [0, 127], got {base_pitch!r}")
+    base_pitch = _check_int("base_pitch", base_pitch, 0, 127)
     intervals = SCALES[scale]
     keys = cells.keys
     # keys are sorted row-major, so a run starts at every key that does not follow
@@ -205,10 +191,7 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     MIDI encoding, and a tempo outside [MIN_TEMPO, MAX_TEMPO] does not read
     back as itself; both are refused before anything is written.
     """
-    if not tempo_bpm > 0:
-        raise ValueError(f"tempo_bpm must be > 0, got {tempo_bpm}")
-    if not MIN_TEMPO <= tempo_bpm <= MAX_TEMPO:
-        raise ValueError(f"tempo {tempo_bpm} bpm is outside [{MIN_TEMPO}, {MAX_TEMPO}]")
+    tempo_bpm = _check_int("tempo_bpm", tempo_bpm, MIN_TEMPO, MAX_TEMPO)
     micros_per_quarter = round(60_000_000 / tempo_bpm)
     # each event's three bytes (status, pitch, velocity) as one big-endian
     # integer; sorting by (tick, event) puts note-offs (0x80) before note-ons

@@ -7,11 +7,14 @@ by `ascii_rows`, so one encoder decides the bytes of all of them.
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 from typing import Iterable
 
 import numpy as np
+
+from .errors import _int_array
 
 # values encoded per block: a few MB of buffers, which each block after the
 # first gets back from the heap instead of faulting them in again
@@ -45,17 +48,13 @@ def ascii_rows(values, sep: str) -> Iterable[bytes]:
     values, so a block may end in the middle of a row. Values above 2**63 - 1
     are refused.
     """
-    values = np.ascontiguousarray(values)
+    values = np.ascontiguousarray(_int_array("values", values, 2, 0, np.iinfo(np.int64).max))
     rows, cols = values.shape
     if not values.size:
         yield b"\n" * rows
         return
-    if not np.issubdtype(values.dtype, np.integer) or values.min() < 0:
-        raise ValueError("ascii_rows encodes non-negative integers only")
     flat = values.reshape(-1)
     top = int(flat.max())
-    if top > np.iinfo(np.int64).max:
-        raise ValueError(f"ascii_rows encodes integers up to 2**63 - 1, got {top}")
     ndig = len(str(top))
     wide = top >= _TABLE_LIMIT
     if not wide:
@@ -102,7 +101,13 @@ def write_chunks(path, chunks: Iterable[bytes]) -> None:
     it, so a failed write leaves the old file (or no file) and no temporary.
     The file gets the mode that open(path, "w") would give it. A target that
     exists and is not a regular file (a FIFO, /dev/stdout) is written directly.
+    An empty path, or one ending in a separator, names no file and is refused
+    with the error open() gives, before anything is created.
     """
+    if not os.path.basename(path):
+        # it names no file: refused as open() refuses it, before any temporary is made
+        code = errno.EISDIR if path else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -111,8 +116,9 @@ def write_chunks(path, chunks: Iterable[bytes]) -> None:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
         return
-    # replace the file a symlink points to, not the link, as open() would
-    target = os.path.realpath(path)
+    # replace the file a symlink points to, not the link, as open() would; any other
+    # path is kept as given, so "missing/../x" fails as in open() instead of writing x
+    target = os.path.realpath(path) if os.path.islink(path) else path
     directory, name = os.path.split(target)
     while True:
         tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")

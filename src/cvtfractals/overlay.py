@@ -10,14 +10,13 @@ at scale 1/(k+1) it is built from.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dimension import DimensionEstimate, estimate_dimension
+from .errors import _check_base, _check_int
 from .output import write_chunks
-from .radix import _check_base
 from .table import MAX_SPARSE_EXTENT, CellSet, _check_extent, _substitute
 
 # the increment this construction is conventionally assigned: 3 copies at
@@ -76,9 +75,7 @@ def iterate_overflow_fractal(gen: CellSet, depth: int) -> CellSet:
     Depth 1 reproduces the generator; depth d yields len(gen)**d cells on a
     grid of extent gen.extent**d.
     """
-    depth = operator.index(depth)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth = _check_int("depth", depth, 1)
     if not len(gen):
         raise ValueError("generator must be nonempty")
     if gen.extent < 2:

@@ -11,35 +11,13 @@ All operations are pure and exact for arbitrarily large operands.
 
 from __future__ import annotations
 
-import operator
-
-from .errors import InvalidBaseError
-
-
-def _check_base(base: int) -> int:
-    try:
-        base = operator.index(base)
-    except TypeError:
-        raise InvalidBaseError(f"base must be an integer >= 2, got {base!r}") from None
-    if base < 2:
-        raise InvalidBaseError(f"base must be an integer >= 2, got {base}")
-    return base
-
-
-def _check_value(name: str, value: int) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
-    return value
+from .errors import _check_base, _check_int
 
 
 def _digit_sums(a: int, b: int, base: int):
     """Yield (place, a_i + b_i) for each digit position i of the longer operand."""
-    a = _check_value("a", a)
-    b = _check_value("b", b)
+    a = _check_int("a", a, 0)
+    b = _check_int("b", b, 0)
     place = 1
     while a or b:
         a, da = divmod(a, base)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, _check_int, _int_array
 from .output import ascii_rows, write_chunks
 from .table import CellSet, CvTable
 
@@ -28,13 +27,7 @@ class RasterImage:
     def __post_init__(self) -> None:
         if self.mode not in (BILEVEL, GRAY):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.pixels.ndim != 2:
-            raise ValueError("pixels must be a 2D array")
-        if not np.issubdtype(self.pixels.dtype, np.integer):
-            raise ValueError(f"pixels must be integers, got {self.pixels.dtype}")
-        maxval = 1 if self.mode == BILEVEL else 255
-        if self.pixels.size and (self.pixels.min() < 0 or self.pixels.max() > maxval):
-            raise ValueError(f"{self.mode} pixels must lie in 0..{maxval}")
+        _int_array("pixels", self.pixels, 2, 0, 1 if self.mode == BILEVEL else 255)
         self.pixels.setflags(write=False)
 
     @property
@@ -47,9 +40,7 @@ class RasterImage:
 
 
 def _check_zoom(extent: int, zoom: int) -> int:
-    zoom = operator.index(zoom)
-    if zoom < 1:
-        raise ValueError(f"zoom must be >= 1, got {zoom}")
+    zoom = _check_int("zoom", zoom, 1)
     if extent * zoom > MAX_SIDE:
         raise SizeLimitError(f"image side {extent * zoom} exceeds limit {MAX_SIDE}")
     return zoom

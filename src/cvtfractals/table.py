@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, _check_base, _check_int, _int_array
 from .output import ascii_rows, write_chunks
-from .radix import _check_base
 
 MAX_TABLE_EXTENT = 4096
 MAX_SPARSE_EXTENT = 1 << 20
@@ -37,6 +35,8 @@ class CvTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base", _check_base(self.base))
+        object.__setattr__(self, "digits_k", _check_int("digits_k", self.digits_k, 1))
         extent = self.extent
         if self.values.shape != (extent, extent):
             raise ValueError(f"values must be {extent}x{extent}, got {self.values.shape}")
@@ -63,19 +63,15 @@ class CellSet:
 
     def __init__(self, base: int, depth: int, keys) -> None:
         base = _check_base(base)
-        depth = operator.index(depth)
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
+        depth = _check_int("depth", depth, 0)
         _check_extent(base, depth, MAX_KEY_EXTENT, "grid")
         extent = base**depth
         # no dtype: forcing int64 here would truncate float keys instead of refusing them
-        keys = keys if isinstance(keys, np.ndarray) else np.array(list(keys))
-        if keys.ndim != 1 or keys.size and not np.issubdtype(keys.dtype, np.integer):
-            raise ValueError(f"cell keys must be 1-D integers, got {keys.dtype} {keys.shape}")
-        # a copy, so the caller's array is never sorted; unsigned keys past int64 turn negative
+        keys = _int_array("keys", keys if isinstance(keys, np.ndarray) else list(keys), 1)
+        # a copy, so the caller's array is never sorted; its ends bound every key, and an
+        # unsigned key past int64 turns negative and sorts first
         keys = _sort_unique(keys.astype(np.int64))
-        if keys.size and (keys[0] < 0 or keys[-1] >= extent * extent):
-            raise ValueError(f"cell keys out of range for extent {extent}")
+        _int_array("keys", keys[[0, -1]] if keys.size else keys, 1, 0, extent * extent - 1)
         keys.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "depth", depth)
@@ -134,13 +130,9 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
 def build_table(base: int, digits_k: int) -> CvTable:
     """Populate the full carry-value table for operands below base**digits_k."""
     base = _check_base(base)
-    digits_k = operator.index(digits_k)
-    if digits_k < 1:
-        raise ValueError(f"digits_k must be >= 1, got {digits_k}")
+    digits_k = _check_int("digits_k", digits_k, 1)
     _check_extent(base, digits_k, MAX_TABLE_EXTENT, "table")
-    digit = np.arange(base)
-    # carry out of one digit position: 1 exactly when the digit sum reaches base
-    carry = np.add.outer(digit, digit) >= base
+    carry = _carries(base)
     values = np.zeros((1, 1), dtype=np.int64)
     for _ in range(digits_k):
         # with a = A * base + a0, cvt(a, b) = base * (cvt(A, B) + carry[a0, b0])
@@ -152,7 +144,7 @@ def build_table(base: int, digits_k: int) -> CvTable:
 
 def value_cells(table: CvTable, v: int) -> CellSet:
     """All cells of the table holding carry value v; a row-major flat index is a key."""
-    v = operator.index(v)
+    v = _check_int("v", v, 0)
     return CellSet(table.base, table.digits_k, np.flatnonzero(table.values == v))
 
 
@@ -175,17 +167,20 @@ def _substitute(levels, modulus: int) -> CellSet:
     return CellSet(modulus, depth, keys)
 
 
+def _carries(base: int) -> np.ndarray:
+    """carries[x, y]: whether digits x and y carry out of their position, x + y >= base."""
+    digit = np.arange(base)
+    return digit[:, None] + digit >= base
+
+
 def _carry_triangle(base: int, carry: int) -> np.ndarray:
-    """Sorted digit-pair keys x * base + y carrying 0 (x + y < base) or 1 (its mirror).
+    """Sorted digit-pair keys x * base + y carrying 0 (x + y < base) or 1 (x + y >= base).
 
     A triangle above MAX_CELLS is refused unbuilt: any pattern using it is larger.
     """
     if (size := (base - carry) * (base - carry + 1) // 2) > MAX_CELLS:
         raise SizeLimitError(f"pattern of at least {size} cells exceeds limit {MAX_CELLS}")
-    # x + y < base - carry is the pair (i, j - i) for i <= j < base - carry
-    rows, cols = np.triu_indices(base - carry)
-    keys = rows * base + cols - rows
-    return base * base - 1 - keys[::-1] if carry else keys
+    return np.flatnonzero(_carries(base) == carry)
 
 
 def carry_value_set(base: int, depth: int, value: int = 0) -> CellSet:
@@ -198,10 +193,8 @@ def carry_value_set(base: int, depth: int, value: int = 0) -> CellSet:
     has (base*(base+1)/2)**(depth-p) * (base*(base-1)/2)**p cells.
     """
     base = _check_base(base)
-    depth = operator.index(depth)
-    value = operator.index(value)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = _check_int("depth", depth, 0)
+    value = _check_int("value", value, 0)
     if value and not depth:
         raise ValueError(f"carry value {value} needs depth >= 1")
     _check_extent(base, depth, MAX_SPARSE_EXTENT, "pattern")

@@ -238,6 +238,16 @@ def test_bad_flag_values_are_usage_errors(capsys):
     assert run(["overlay", "--small", "2", "--depth", "1"]) == 2
 
 
+def test_path_ending_in_a_separator_is_an_error(capsys, tmp_path, monkeypatch):
+    # it names no file, and was written as the file without its separator
+    monkeypatch.chdir(tmp_path)
+    assert run(["fractal", "--base", "2", "--depth", "2", "--cells", "newdir" + os.sep]) == 1
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err == f"error: [Errno 21] Is a directory: 'newdir{os.sep}'\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_runtime_errors_exit_one(capsys, tmp_path):
     # extent beyond the size cap is a clean runtime failure
     assert run(["fractal", "--base", "2", "--depth", "25"]) == 1
@@ -348,7 +358,7 @@ def test_no_image_is_rendered_unless_asked_for(capsys, tmp_path, monkeypatch, ar
     ["table", "--base", "2", "--digits", "2", "--csv", ""],
 ], ids=["music-midi", "table-csv"])
 def test_empty_output_path_is_an_error(capsys, tmp_path, monkeypatch, argv):
-    # an empty path names the working directory, which no file can replace
+    # an empty path names no file: refused before anything is created
     (tmp_path / "work").mkdir()
     monkeypatch.chdir(tmp_path / "work")
     assert run(argv) == 1

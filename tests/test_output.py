@@ -228,6 +228,34 @@ class TestWriteChunks:
             write_chunks(path, [b"x"])
         assert info.value.filename == str(path)
 
+    def test_empty_path_is_refused_before_anything_is_created(self, tmp_path, monkeypatch):
+        # "" once resolved to the working directory, so the temporary was made in its parent
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(FileNotFoundError) as info:
+            write_chunks("", [b"x"])
+        assert info.value.filename == ""
+        assert os.listdir(tmp_path) == ["work"]
+        assert os.listdir(work) == []
+
+    def test_path_ending_in_a_separator_is_refused(self, tmp_path):
+        # it was written as the file the path names without its separator
+        path = os.path.join(tmp_path, "newdir") + os.sep
+        with pytest.raises(IsADirectoryError) as info:
+            write_chunks(path, [b"x"])
+        assert info.value.filename == path
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("name", ["missing/../x", "missing/."])
+    def test_path_through_a_missing_directory_is_refused(self, tmp_path, monkeypatch, name):
+        # normalised, these named x and missing, and were written as those files
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as info:
+            write_chunks(name, [b"x"])
+        assert info.value.filename == name
+        assert os.listdir(tmp_path) == []
+
     def test_failed_pnm_keeps_old_image(self, tmp_path, monkeypatch):
         path = tmp_path / "img.pbm"
         path.write_bytes(b"old image")

@@ -18,7 +18,8 @@ from cvtfractals import (
     value_cells,
     zero_carry_set,
 )
-from cvtfractals.table import MAX_CELLS
+from cvtfractals.radix import cvt
+from cvtfractals.table import MAX_CELLS, _carry_triangle
 from helpers import cell_keys, digits
 
 # largest digit count per base whose dense table stays small enough to scan often
@@ -120,6 +121,14 @@ def test_cell_limit_refuses_before_allocating():
 
 def test_unattainable_value_on_a_large_base_builds_nothing():
     assert len(carry_value_set(2**20, 1, 2**20 + 1)) == 0
+
+
+@given(st.integers(2, 40), st.sampled_from([0, 1]))
+def test_carry_triangle_is_every_digit_pair_with_that_carry(base, carry):
+    # a pair of single digits has carry value base exactly when it carries
+    expected = [x * base + y for x in range(base) for y in range(base)
+                if cvt(x, y, base) == carry * base]
+    assert _carry_triangle(base, carry).tolist() == expected
 
 
 def test_triangle_limit_matches_the_pattern_count():
