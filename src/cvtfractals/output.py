@@ -48,13 +48,17 @@ def ascii_rows(values, sep: str) -> Iterable[bytes]:
     values, so a block may end in the middle of a row. Values above 2**63 - 1
     are refused.
     """
-    values = np.ascontiguousarray(_int_array("values", values, 2, 0, np.iinfo(np.int64).max))
+    values = np.ascontiguousarray(_int_array("values", values, 2))
     rows, cols = values.shape
     if not values.size:
         yield b"\n" * rows
         return
     flat = values.reshape(-1)
-    top = int(flat.max())
+    # the range is tested on the two extremes, in the values' dtype, so the maximum
+    # is found once
+    ends = np.array([flat.min(), flat.max()])
+    _int_array("values", ends, 1, 0, np.iinfo(np.int64).max)
+    top = int(ends[1])
     ndig = len(str(top))
     wide = top >= _TABLE_LIMIT
     if not wide:
@@ -102,8 +106,10 @@ def write_chunks(path, chunks: Iterable[bytes]) -> None:
     The file gets the mode that open(path, "w") would give it. A target that
     exists and is not a regular file (a FIFO, /dev/stdout) is written directly.
     An empty path, or one ending in a separator, names no file and is refused
-    with the error open() gives, before anything is created.
+    with the error open() gives, before anything is created. A bytes path is
+    decoded as os.fsdecode does, so the temporary's name can be built from it.
     """
+    path = os.fsdecode(path)
     if not os.path.basename(path):
         # it names no file: refused as open() refuses it, before any temporary is made
         code = errno.EISDIR if path else errno.ENOENT
@@ -129,7 +135,7 @@ def write_chunks(path, chunks: Iterable[bytes]) -> None:
         except FileExistsError:
             continue
         except OSError as exc:
-            exc.filename = os.fspath(path)  # name the target, not the temporary file
+            exc.filename = path  # name the target, not the temporary file
             raise
     try:
         with open(fd, "wb") as fh:

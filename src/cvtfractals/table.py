@@ -116,9 +116,12 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
     """Sort a fresh int64 array in place and drop repeats, without np.unique.
 
     np.unique is many times slower than a sort plus an adjacent-difference
-    mask on large int64 arrays.
+    mask on large int64 arrays. The sort is stable because numpy's default
+    int64 sort costs as much on presorted input as on random input, while the
+    stable one (timsort) merges the runs it finds: keys built by substitution
+    arrive as one run, and box keys as one run per grid row.
     """
-    keys.sort()
+    keys.sort(kind="stable")
     if keys.size < 2:
         return keys
     keep = np.empty(keys.size, dtype=bool)
@@ -152,6 +155,7 @@ def _substitute(levels, modulus: int) -> CellSet:
     """Place levels[i], digit-pair keys x * modulus + y, in every cell kept by levels < i.
 
     Extent and cell count are checked against their limits before any allocation.
+    The keys are sorted after every level, so CellSet gets them in order.
     """
     depth = len(levels)
     _check_extent(modulus, depth, MAX_SPARSE_EXTENT, "pattern")
@@ -163,7 +167,14 @@ def _substitute(levels, modulus: int) -> CellSet:
     for level in levels:
         # one Horner step: a key is linear in the digit pairs of every level
         x, y = np.divmod(level, modulus)
-        keys = (keys[:, None] * modulus + (x * extent + y)).ravel()
+        pairs = x * extent + y
+        # the sorted keys give one sorted run per digit pair, and a sorted level one per
+        # key: laid out with the fewer runs, the stable sort merges them
+        if pairs.size < keys.size:
+            keys = (pairs[:, None] + keys * modulus).ravel()
+        else:
+            keys = (keys[:, None] * modulus + pairs).ravel()
+        keys.sort(kind="stable")
     return CellSet(modulus, depth, keys)
 
 

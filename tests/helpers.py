@@ -23,15 +23,17 @@ def cell_keys(pairs, extent: int) -> list[int]:
     return [r * extent + c for r, c in pairs]
 
 
-def substituted_cells(generator, modulus: int, depth: int) -> set[tuple[int, int]]:
-    """Cells of `generator`, (x, y) digit pairs below modulus, substituted depth levels deep.
+def substituted_cells(levels, modulus: int) -> set[tuple[int, int]]:
+    """Cells of one generator per level, (x, y) digit pairs below modulus, substituted.
 
-    Every tuple of one generator cell per level is one cell; level i holds the
-    digits of place value modulus**(depth - 1 - i) of its row and its column.
+    Every tuple of one cell of each level's generator is one cell; with depth
+    levels, level i holds the digits of place value modulus**(depth - 1 - i)
+    of its row and its column.
     """
+    depth = len(levels)
     places = [modulus ** (depth - 1 - i) for i in range(depth)]
     cells = set()
-    for choice in itertools.product(generator, repeat=depth):
+    for choice in itertools.product(*levels):
         row = sum(x * place for (x, _), place in zip(choice, places))
         col = sum(y * place for (_, y), place in zip(choice, places))
         cells.add((row, col))

@@ -155,6 +155,14 @@ class TestAsciiRows:
         with pytest.raises(ValueError):
             list(ascii_rows(values, ","))
 
+    @pytest.mark.parametrize("values,bad", [
+        (np.array([[7, -1], [-5, 3]]), -5),
+        (np.array([[2**63, 5], [2**64 - 1, 0]], dtype=np.uint64), 2**64 - 1),
+    ])
+    def test_refusal_names_the_extreme_out_of_range(self, values, bad):
+        with pytest.raises(ValueError, match=rf"values must be in \[0, {2**63 - 1}\], got {bad}$"):
+            list(ascii_rows(values, ","))
+
 
 def failing_chunks():
     yield b"partial "
@@ -221,6 +229,16 @@ class TestWriteChunks:
         assert received == [b"through the pipe"]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_bytes_path_is_written_as_open_writes_it(self, tmp_path):
+        # the temporary's name was built from the bytes repr and refused as mixed types
+        new, old = tmp_path / "out.bin", tmp_path / "old.bin"
+        old.write_bytes(b"old")
+        write_chunks(os.fsencode(new), [b"new"])
+        write_chunks(os.fsencode(old), [b"newer"])
+        assert new.read_bytes() == b"new"
+        assert old.read_bytes() == b"newer"
+        assert sorted(os.listdir(tmp_path)) == ["old.bin", "out.bin"]
 
     def test_missing_directory_names_the_target(self, tmp_path):
         path = tmp_path / "missing" / "out.bin"

@@ -116,7 +116,7 @@ class TestIterateOverflowFractal:
         gen = CellSet(modulus, 1, cell_keys(pairs, modulus))
         result = iterate_overflow_fractal(gen, depth)
         assert result.extent == modulus**depth
-        assert tuple(result) == tuple(sorted(substituted_cells(pairs, modulus, depth)))
+        assert tuple(result) == tuple(sorted(substituted_cells([pairs] * depth, modulus)))
 
 
 class TestAnalyzeOverlay:

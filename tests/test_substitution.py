@@ -19,8 +19,8 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.radix import cvt
-from cvtfractals.table import MAX_CELLS, _carry_triangle
-from helpers import cell_keys, digits
+from cvtfractals.table import MAX_CELLS, _carry_triangle, _substitute
+from helpers import cell_keys, digits, substituted_cells
 
 # largest digit count per base whose dense table stays small enough to scan often
 MAX_DEPTH = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
@@ -129,6 +129,33 @@ def test_carry_triangle_is_every_digit_pair_with_that_carry(base, carry):
     expected = [x * base + y for x in range(base) for y in range(base)
                 if cvt(x, y, base) == carry * base]
     assert _carry_triangle(base, carry).tolist() == expected
+
+
+@st.composite
+def level_stacks(draw):
+    """(modulus, levels): a different generator of (x, y) digit pairs at each level.
+
+    Among them are the full grid and, after it, a single pair, so at least one
+    level has fewer pairs than there are keys so far (the first always has at
+    least as many). Pairs come in any order, repeats allowed.
+    """
+    modulus = draw(st.integers(2, 5))
+    grid = [(x, y) for x in range(modulus) for y in range(modulus)]
+    levels = draw(st.lists(st.lists(st.sampled_from(grid), min_size=1, max_size=12), max_size=2))
+    full = draw(st.integers(0, len(levels)))
+    levels.insert(full, grid)
+    levels.insert(draw(st.integers(full + 1, len(levels))), [draw(st.sampled_from(grid))])
+    return modulus, levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_stacks())
+def test_substitution_with_a_generator_per_level_matches_the_oracle(case):
+    modulus, levels = case
+    cells = _substitute([np.array([x * modulus + y for x, y in level]) for level in levels],
+                        modulus)
+    assert cells.extent == modulus ** len(levels)
+    assert tuple(cells) == tuple(sorted(substituted_cells(levels, modulus)))
 
 
 def test_triangle_limit_matches_the_pattern_count():

@@ -17,7 +17,10 @@ from cvtfractals import (
     write_table_csv,
     zero_carry_set,
 )
+from cvtfractals.table import _sort_unique
 from helpers import cell_keys, digits
+
+INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
 
 
 @st.composite
@@ -172,6 +175,18 @@ class TestZeroCarrySet:
         # extent 2**19 is allowed but 3**19 cells are not
         with pytest.raises(SizeLimitError):
             zero_carry_set(2, 19)
+
+
+class TestSortUnique:
+    @given(st.lists(st.one_of(INT64, st.integers(-3, 3))))
+    def test_equals_the_sorted_set(self, values):
+        assert _sort_unique(np.array(values, dtype=np.int64)).tolist() == sorted(set(values))
+
+    @given(st.lists(st.lists(st.one_of(INT64, st.integers(-3, 3))).map(sorted), max_size=8))
+    def test_equals_the_sorted_set_on_sorted_runs(self, runs):
+        # the input shapes substitution and box counting give it: runs already in order
+        values = [v for run in runs for v in run]
+        assert _sort_unique(np.array(values, dtype=np.int64)).tolist() == sorted(set(values))
 
 
 class TestCellSet:
