@@ -73,8 +73,10 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     max_value = max(int(table.values.max()), 1)
     if max_value > _MAX_GRAY_VALUE:
         raise ValueError(f"carry value {max_value} exceeds limit {_MAX_GRAY_VALUE}")
-    # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max)
-    gray = (table.values * 510 + max_value) // (2 * max_value)
+    # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max), in one int64 array
+    gray = np.multiply(table.values, 510, dtype=np.int64)
+    gray += max_value
+    gray //= 2 * max_value
     return RasterImage(_zoomed(gray.astype(np.uint8), zoom), GRAY)
 
 

@@ -37,10 +37,13 @@ class CvTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _check_base(self.base))
         object.__setattr__(self, "digits_k", _check_int("digits_k", self.digits_k, 1))
+        # dtype and shape only: build_table's values need no pass over them
+        values = _int_array("values", self.values, 2)
         extent = self.extent
-        if self.values.shape != (extent, extent):
-            raise ValueError(f"values must be {extent}x{extent}, got {self.values.shape}")
-        self.values.setflags(write=False)
+        if values.shape != (extent, extent):
+            raise ValueError(f"values must be {extent}x{extent}, got {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def extent(self) -> int:
@@ -137,11 +140,12 @@ def build_table(base: int, digits_k: int) -> CvTable:
     _check_extent(base, digits_k, MAX_TABLE_EXTENT, "table")
     carry = _carries(base)
     values = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(digits_k):
-        # with a = A * base + a0, cvt(a, b) = base * (cvt(A, B) + carry[a0, b0])
+    for level in range(digits_k):
+        # with a = a1 * base**level + A, cvt(a, b) = cvt(A, B) + carry[a1, b1] * base**(level + 1),
+        # so each add runs along a row of the previous table
         side = values.shape[0] * base
-        values = np.add(values[:, None, :, None], carry[None, :, None, :]).reshape(side, side)
-        values *= base
+        top = np.multiply(carry, base ** (level + 1), dtype=np.int64)
+        values = np.add(values[None, :, None, :], top[:, None, :, None]).reshape(side, side)
     return CvTable(base, digits_k, values)
 
 

@@ -101,6 +101,30 @@ class TestAsciiRows:
             output._TABLE_LIMIT = old
         assert got == "".join(sep.join(map(str, row)) + "\n" for row in values.tolist()).encode()
 
+    @given(
+        st.sampled_from([np.uint8, np.int8, np.uint16, np.int32, np.int64, np.uint64]).flatmap(
+            lambda dtype: arrays(
+                dtype, SHAPES | st.tuples(st.integers(0, 12), st.just(1)),
+                elements=st.integers(0, 9),
+            )
+        ),
+        st.sampled_from([" ", ","]),
+        st.sampled_from([1, 3, 7, output.BLOCK_VALUES]),
+        st.booleans(),
+    )
+    def test_one_digit_values_match_join(self, values, sep, block, transpose):
+        # one-digit arrays are spelled by one 16-bit add per value, not gathered;
+        # blocks of 1, 3 and 7 values end mid-row, and a transpose is not contiguous
+        if transpose:
+            values = values.T
+        old = output.BLOCK_VALUES
+        output.BLOCK_VALUES = block
+        try:
+            got = b"".join(ascii_rows(values, sep))
+        finally:
+            output.BLOCK_VALUES = old
+        assert got == "".join(sep.join(map(str, row)) + "\n" for row in values.tolist()).encode()
+
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
     def test_block_boundaries(self, block, monkeypatch, tmp_path):
         # with 7 columns most of these block sizes end a block mid-row;

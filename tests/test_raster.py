@@ -119,6 +119,20 @@ class TestRenderTable:
         table = CvTable(2, 2, np.array(rows, dtype=np.int64))
         assert render_table(table).pixels.tolist() == expected
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int16, np.uint8, np.uint64])
+    def test_narrow_and_unsigned_tables_render_like_int64(self, dtype):
+        # 510 * v once wrapped in the table's own dtype: this int32 table gave
+        # [[0, 82], [128, 0]], and uint8 or int16 raised OverflowError
+        from cvtfractals import CvTable
+
+        top = min(np.iinfo(dtype).max, 5_000_000)
+        rows = [[0, top], [top // 2, 1]]
+        wide = render_table(CvTable(2, 1, np.array(rows, dtype=np.int64)))
+        got = render_table(CvTable(2, 1, np.array(rows, dtype=dtype)))
+        assert got.pixels.tolist() == wide.pixels.tolist()
+        if dtype is np.int32:
+            assert got.pixels.tolist() == [[0, 255], [128, 0]]
+
     def test_negative_values_are_refused(self):
         from cvtfractals import CvTable
 

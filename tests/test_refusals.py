@@ -72,6 +72,8 @@ ARRAYS = {
     "Notes.onset": (lambda x: Notes([x], [1], [60]), "onset", -1),
     "Notes.duration": (lambda x: Notes([0], [x], [60]), "duration", 0),
     "Notes.pitch": (lambda x: Notes([0], [1], [x]), "pitch", 128),
+    # any float or bool table is refused, so True stands in for an out-of-range value
+    "CvTable.values": (lambda x: CvTable(2, 1, np.full((2, 2), x)), "values", True),
     "RasterImage.pixels": (lambda x: RasterImage(np.array([[x]]), "gray"), "pixels", 256),
     "ascii_rows.values": (lambda x: list(ascii_rows(np.array([[x]]), ",")), "values", -1),
 }
