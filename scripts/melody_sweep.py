@@ -17,7 +17,6 @@ from cvtfractals import (
     DegenerateSeriesError,
     InsufficientDataError,
     cells_to_notes,
-    pitch_series,
     similarity_dimension,
     spectral_exponent,
     write_midi,
@@ -44,11 +43,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    # the top-voice reduction of a zero-carry melody is usually flat (the
-    # dense top rows strike at every onset), so the sweep also fits the full
-    # pitch sequence of all notes in playing order
-    print(f"{'base':>4} {'depth':>5} {'dimension':>10} {'notes':>6}"
-          f" {'beta(all)':>9} {'beta(top)':>9}")
+    # the top voice of a zero-carry melody is constant (the dense top rows
+    # strike at every onset), so the sweep fits the full pitch sequence of all
+    # notes in playing order
+    print(f"{'base':>4} {'depth':>5} {'dimension':>10} {'notes':>6} {'beta(all)':>9}")
     for base, depth in SWEEP:
         cells = zero_carry_set(base, depth)
         notes = cells_to_notes(cells, scale=args.scale, base_pitch=BASE_PITCH)
@@ -56,7 +54,7 @@ def main(argv=None) -> int:
         write_midi(notes, tempo_bpm=TEMPO_BPM, path=midi)
         print(
             f"{base:>4} {depth:>5} {similarity_dimension(base):>10.6f}"
-            f" {len(notes):>6} {_beta(notes.pitch)} {_beta(pitch_series(notes))}"
+            f" {len(notes):>6} {_beta(notes.pitch)}"
         )
     return 0
 

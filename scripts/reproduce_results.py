@@ -7,7 +7,9 @@ Writes, under the chosen output directory:
   - overlay_{k}_to_{k+1}.txt reports for k = 2, 3
   - demo.mid plus demo_notes.csv for a base-2 melody
 
-and prints a closed-form vs box-count dimension table to stdout.
+and prints a closed-form vs box-count dimension table to stdout, with the
+closed-form increment D(n) - D(n-1) over the base before. The paper
+conjectures a constant increment; these values shrink as the base grows.
 """
 
 from __future__ import annotations
@@ -43,12 +45,15 @@ MELODY_BASE_PITCH = 36
 
 
 def dimension_table() -> None:
-    print(f"{'base':>4} {'closed form':>12} {'box count':>12} {'fit':>8} {'cells':>8}")
+    print(f"{'base':>4} {'closed form':>12} {'increment':>10} {'box count':>12} {'fit':>8}"
+          f" {'cells':>8}")
     for base, depth in DEPTH_BY_BASE.items():
         cells = zero_carry_set(base, depth)
         est = estimate_dimension(cells)
+        closed = similarity_dimension(base)
+        increment = f"{closed - similarity_dimension(base - 1):.6f}" if base > 2 else ""
         print(
-            f"{base:>4} {similarity_dimension(base):>12.6f}"
+            f"{base:>4} {closed:>12.6f} {increment:>10}"
             f" {est.slope:>12.6f} {est.fit_quality:>8.4f} {len(cells):>8}"
         )
 

@@ -21,6 +21,11 @@ def _int_arg(lo: int, hi: int | None = None):
         try:
             value = int(text)
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and len(text) > limit:  # name the interpreter's digit limit, not the digits
+                raise argparse.ArgumentTypeError(
+                    f"{text[:10]!r}... ({len(text)} characters) is not an integer"
+                    f" of at most {limit} digits") from None
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         return _check_int("value", value, lo, hi, error=argparse.ArgumentTypeError)
 
@@ -44,9 +49,10 @@ def _cmd_cvt(args) -> int:
     residue = radix.sum_without_carry(args.a, args.b, args.base)
     total = args.a + args.b
     ok = carry + residue == total
-    print(f"CVT({args.a}, {args.b}) in base {args.base} = {carry}")
-    print(f"carry-free sum = {residue}")
-    print(f"decomposition: {args.a} + {args.b} = {total} = {carry} + {residue}"
+    # spelled before any is printed: a sum past the interpreter's digit limit fails whole
+    print(f"CVT({args.a}, {args.b}) in base {args.base} = {carry}\n"
+          f"carry-free sum = {residue}\n"
+          f"decomposition: {args.a} + {args.b} = {total} = {carry} + {residue}"
           f" [{'ok' if ok else 'MISMATCH'}]")
     return 0 if ok else 1
 

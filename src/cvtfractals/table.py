@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,20 +28,27 @@ MAX_KEY_EXTENT = 1 << 31
 
 @dataclass(frozen=True, eq=False)
 class CvTable:
-    """Dense grid of carry values; row index is the augend, column the addend."""
+    """Dense grid of carry values, computed on construction as one read-only int64
+    array for operands below base**digits_k; row index is the augend, column the addend."""
 
     base: int
     digits_k: int
-    values: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base", _check_base(self.base))
         object.__setattr__(self, "digits_k", _check_int("digits_k", self.digits_k, 1))
-        # dtype and shape only: build_table's values need no pass over them
-        values = _int_array("values", self.values, 2)
-        extent = self.extent
-        if values.shape != (extent, extent):
-            raise ValueError(f"values must be {extent}x{extent}, got {values.shape}")
+        base, digits_k = self.base, self.digits_k
+        _check_extent(base, digits_k, MAX_TABLE_EXTENT, "table")
+        carry = _carries(base)
+        values = np.zeros((1, 1), dtype=np.int64)
+        for level in range(digits_k):
+            # with a = a1 * base**level + A,
+            # cvt(a, b) = cvt(A, B) + carry[a1, b1] * base**(level + 1),
+            # so each add runs along a row of the previous table
+            side = values.shape[0] * base
+            top = np.multiply(carry, base ** (level + 1), dtype=np.int64)
+            values = np.add(values[None, :, None, :], top[:, None, :, None]).reshape(side, side)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -135,18 +142,7 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
 
 def build_table(base: int, digits_k: int) -> CvTable:
     """Populate the full carry-value table for operands below base**digits_k."""
-    base = _check_base(base)
-    digits_k = _check_int("digits_k", digits_k, 1)
-    _check_extent(base, digits_k, MAX_TABLE_EXTENT, "table")
-    carry = _carries(base)
-    values = np.zeros((1, 1), dtype=np.int64)
-    for level in range(digits_k):
-        # with a = a1 * base**level + A, cvt(a, b) = cvt(A, B) + carry[a1, b1] * base**(level + 1),
-        # so each add runs along a row of the previous table
-        side = values.shape[0] * base
-        top = np.multiply(carry, base ** (level + 1), dtype=np.int64)
-        values = np.add(values[None, :, None, :], top[:, None, :, None]).reshape(side, side)
-    return CvTable(base, digits_k, values)
+    return CvTable(base, digits_k)
 
 
 def value_cells(table: CvTable, v: int) -> CellSet:

@@ -25,6 +25,33 @@ def test_cvt_ternary_worked_example(capsys):
     assert "carry-free sum = 24" in out
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on the digits int() and str() convert."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_cvt_sum_past_the_digit_limit_prints_nothing(capsys, digit_limit):
+    # the sum has one digit more than str() spells: no line of the result is printed
+    assert run(["cvt", "--base", "2", "9" * digit_limit, "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"{digit_limit} digits" in captured.err
+
+
+def test_operand_past_the_digit_limit_names_the_limit(capsys, digit_limit):
+    assert run(["cvt", "--base", "2", "9" * (digit_limit + 1), "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument a: '9999999999'... ({digit_limit + 1} characters) is not an integer"
+            f" of at most {digit_limit} digits") in captured.err
+    assert "9" * 11 not in captured.err
+
+
 def test_dimension_base_five(capsys):
     assert run(["dimension", "--base", "5"]) == 0
     assert "1.682606" in capsys.readouterr().out

@@ -29,7 +29,6 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.cli import run
-from cvtfractals.output import ascii_rows
 
 # id: (call taking the refused value, argument name, an out-of-range value, error)
 SCALARS = {
@@ -41,10 +40,8 @@ SCALARS = {
     "dimension_gap.base": (dimension_gap, "base", -2, InvalidBaseError),
     "CellSet.base": (lambda x: CellSet(x, 1, [0]), "base", 1, InvalidBaseError),
     "CellSet.depth": (lambda x: CellSet(2, x, [0]), "depth", -1, ValueError),
-    "CvTable.base": (lambda x: CvTable(x, 1, np.zeros((2, 2), dtype=np.int64)), "base", 1,
-                     InvalidBaseError),
-    "CvTable.digits_k": (lambda x: CvTable(2, x, np.zeros((2, 2), dtype=np.int64)), "digits_k",
-                         0, ValueError),
+    "CvTable.base": (lambda x: CvTable(x, 1), "base", 1, InvalidBaseError),
+    "CvTable.digits_k": (lambda x: CvTable(2, x), "digits_k", 0, ValueError),
     "build_table.base": (lambda x: build_table(x, 1), "base", 1, InvalidBaseError),
     "build_table.digits_k": (lambda x: build_table(2, x), "digits_k", 0, ValueError),
     "value_cells.v": (lambda x: value_cells(build_table(2, 1), x), "v", -1, ValueError),
@@ -72,10 +69,7 @@ ARRAYS = {
     "Notes.onset": (lambda x: Notes([x], [1], [60]), "onset", -1),
     "Notes.duration": (lambda x: Notes([0], [x], [60]), "duration", 0),
     "Notes.pitch": (lambda x: Notes([0], [1], [x]), "pitch", 128),
-    # any float or bool table is refused, so True stands in for an out-of-range value
-    "CvTable.values": (lambda x: CvTable(2, 1, np.full((2, 2), x)), "values", True),
     "RasterImage.pixels": (lambda x: RasterImage(np.array([[x]]), "gray"), "pixels", 256),
-    "ascii_rows.values": (lambda x: list(ascii_rows(np.array([[x]]), ",")), "values", -1),
 }
 
 

@@ -20,11 +20,11 @@ from cvtfractals.cli import run
 ROOT = Path(__file__).resolve().parents[1]
 
 REPRODUCE_STDOUT = """\
-base  closed form    box count      fit    cells
-   2     1.584963     1.584963   1.0000     6561
-   3     1.630930     1.630930   1.0000     7776
-   4     1.660964     1.660964   1.0000    10000
-   5     1.682606     1.682606   1.0000    50625
+base  closed form  increment    box count      fit    cells
+   2     1.584963                1.584963   1.0000     6561
+   3     1.630930   0.045967     1.630930   1.0000     7776
+   4     1.660964   0.030034     1.660964   1.0000    10000
+   5     1.682606   0.021642     1.682606   1.0000    50625
 wrote OUT/fractal_base2.pbm and OUT/table_base2.pgm
 wrote OUT/fractal_base3.pbm and OUT/table_base3.pgm
 wrote OUT/fractal_base4.pbm and OUT/table_base4.pgm
@@ -50,12 +50,12 @@ REPRODUCE_FILES = {
 }
 
 SWEEP_STDOUT = """\
-base depth  dimension  notes beta(all) beta(top)
-   2     7   1.584963   1094     1.498       n/a
-   2     8   1.584963   3281     1.520       n/a
-   3     5   1.630930   3111     1.611       n/a
-   4     4   1.660964   3334     1.656       n/a
-   5     4   1.682606  14465     1.653       n/a
+base depth  dimension  notes beta(all)
+   2     7   1.584963   1094     1.498
+   2     8   1.584963   3281     1.520
+   3     5   1.630930   3111     1.611
+   4     4   1.660964   3334     1.656
+   5     4   1.682606  14465     1.653
 """
 
 SWEEP_FILES = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cvtfractals import (
     MAX_TABLE_EXTENT,
     CellSet,
+    CvTable,
     SizeLimitError,
     build_table,
     cvt,
@@ -100,6 +101,20 @@ class TestBuildTable:
         table = build_table(2, 2)
         with pytest.raises(ValueError):
             table.values[0, 0] = 5
+
+    def test_table_computes_its_own_values(self):
+        table = CvTable(3, 2)
+        assert np.array_equal(table.values, build_table(3, 2).values)
+        assert table.values.dtype == np.int64
+        assert not table.values.flags.writeable
+
+    def test_table_takes_no_values(self):
+        with pytest.raises(TypeError):
+            CvTable(2, 1, np.zeros((2, 2), dtype=np.int64))
+
+    def test_table_checks_its_extent(self):
+        with pytest.raises(SizeLimitError):
+            CvTable(2, 13)
 
 
 class TestValueCells:
