@@ -7,6 +7,7 @@ Results go to standard output, diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -50,11 +51,26 @@ def _cmd_cvt(args) -> int:
     total = args.a + args.b
     ok = carry + residue == total
     # spelled before any is printed: a sum past the interpreter's digit limit fails whole
-    print(f"CVT({args.a}, {args.b}) in base {args.base} = {carry}\n"
-          f"carry-free sum = {residue}\n"
-          f"decomposition: {args.a} + {args.b} = {total} = {carry} + {residue}"
-          f" [{'ok' if ok else 'MISMATCH'}]")
+    try:
+        text = (f"CVT({args.a}, {args.b}) in base {args.base} = {carry}\n"
+                f"carry-free sum = {residue}\n"
+                f"decomposition: {args.a} + {args.b} = {total} = {carry} + {residue}"
+                f" [{'ok' if ok else 'MISMATCH'}]")
+    except ValueError:
+        # the sum is the longest number printed, and its text is what was refused
+        print(f"error: the sum a + b has {_decimal_digits(total)} digits, and this"
+              f" interpreter prints integers of at most {sys.get_int_max_str_digits()} digits",
+              file=sys.stderr)
+        return 1
+    print(text)
     return 0 if ok else 1
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n > 0, counted without spelling n."""
+    # 2**(bits - 1) <= n < 2**bits, so n has either floor(bits * log10(2)) digits or one more
+    digits = int(n.bit_length() * math.log10(2))
+    return digits + (n >= 10**digits)
 
 
 def _cmd_table(args) -> int:

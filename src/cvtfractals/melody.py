@@ -111,6 +111,13 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
     in the result's clamped_high. Overlapping notes from different rows are
     kept (the melody may be polyphonic). Notes tied on (onset, pitch) keep the
     row-major order of their runs.
+
+    The runs are found in row-major order and handed to Notes already in
+    (onset, pitch) order, so its own sort finds one sorted run. They are put in
+    that order by a stable lexsort on narrow keys, the pitch as uint8 and the
+    column in the smallest unsigned type that holds extent - 1: on keys of 8 and
+    16 bits numpy's stable sort is a radix sort, and being stable it keeps tied
+    notes in row-major order.
     """
     if not len(cells):
         raise EmptyInputError("cannot render an empty cell set")
@@ -118,21 +125,37 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
         raise ValueError(f"unknown scale {scale!r}; choices: {sorted(SCALES)}")
     base_pitch = _check_int("base_pitch", base_pitch, 0, 127)
     intervals = SCALES[scale]
+    extent = cells.extent
+    # pitch rises with the row's rank counted from the bottom, by at least one a rank,
+    # so at most 128 ranks sound below 128: the first `top` ranks look their pitch up,
+    # and every higher rank looks up the clamped 127 at index top
+    octave, degree = np.divmod(np.arange(min(extent, 128)), len(intervals))
+    pitches = base_pitch + np.array(intervals)[degree] + 12 * octave
+    top = int(np.count_nonzero(pitches <= 127))
+    lookup = np.append(pitches[:top], 127).astype(np.uint8)
     keys = cells.keys
-    # keys are sorted row-major, so a run starts at every key that does not follow
-    # its predecessor by one, or that begins a row
-    first = np.flatnonzero((np.diff(keys, prepend=-1) != 1) | (keys % cells.extent == 0))
-    lengths = np.diff(first, append=keys.size)
-    rows, cols = np.divmod(keys[first], cells.extent)
-    octave, degree = np.divmod(cells.extent - 1 - rows, len(intervals))
-    # rows and columns stay below 2**31, so neither the pitch sum nor the
-    # tick products can wrap int64, and no pitch falls below base_pitch
-    pitch = (base_pitch + np.array(intervals))[degree] + 12 * octave
+    # keys are sorted row-major; with a spare column after each row,
+    # row * (extent + 1) + col steps by one exactly between the cells of a run
+    spaced = keys // extent
+    spaced += keys
+    # edge[i] is set where a run starts at cell i, edge[i + 1] where one ends there
+    edge = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(np.diff(spaced), 1, out=edge[1:-1])
+    start = spaced[edge[:-1]]
+    length = spaced[edge[1:]] - start + 1
+    row = start // (extent + 1)
+    col = start - row * (extent + 1)
+    # each run's row ranked from the bottom and capped at top: its index in lookup
+    rank = np.subtract(extent - 1, row, out=row)
+    np.minimum(rank, top, out=rank)
+    pitch = lookup[rank]
+    order = np.lexsort((pitch, col.astype(np.min_scalar_type(extent - 1))))
+    # columns stay below 2**31, so the tick products cannot wrap int64
     return Notes(
-        cols * TICKS_PER_CELL,
-        lengths * TICKS_PER_CELL,
-        np.minimum(pitch, 127),
-        clamped_high=int(np.count_nonzero(pitch > 127)),
+        col[order] * TICKS_PER_CELL,
+        length[order] * TICKS_PER_CELL,
+        pitch[order],
+        clamped_high=int(np.count_nonzero(rank == top)),
     )
 
 
@@ -190,33 +213,42 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     determined by the notes. A delta time above MAX_DELTA has no Standard
     MIDI encoding, and a tempo outside [MIN_TEMPO, MAX_TEMPO] does not read
     back as itself; both are refused before anything is written.
+
+    Notes are sorted by (onset, pitch), so the note-ons are in event order
+    already and only the note-offs are sorted, by (end, pitch). The two runs
+    are then merged by tick with a stable sort, note-offs listed first:
+    stability is what puts every note-off before every note-on of its tick
+    and keeps each run's pitch order. Every delta gets as many VLQ bytes as
+    the longest one needs, and when that is one byte no byte is dropped.
     """
     tempo_bpm = _check_int("tempo_bpm", tempo_bpm, MIN_TEMPO, MAX_TEMPO)
     micros_per_quarter = round(60_000_000 / tempo_bpm)
-    # each event's three bytes (status, pitch, velocity) as one big-endian
-    # integer; sorting by (tick, event) puts note-offs (0x80) before note-ons
-    tick = np.concatenate((notes.onset + notes.duration, notes.onset))
-    event = np.concatenate((
-        0x80_00_00 | notes.pitch << 8 | _NOTE_OFF_VELOCITY,
-        0x90_00_00 | notes.pitch << 8 | VELOCITY,
-    ))
-    order = np.lexsort((event, tick))
-    event = event[order]
+    end = notes.onset + notes.duration
+    off = np.lexsort((notes.pitch, end))
+    tick = np.concatenate((end[off], notes.onset))
+    order = np.argsort(tick, kind="stable")
     delta = np.diff(tick[order], prepend=0)
     longest = int(delta.max()) if delta.size else 0
     if longest > MAX_DELTA:
         raise ValueError(f"delta time {longest} exceeds the MIDI limit {MAX_DELTA}")
-    # one 7-byte record per event, the low bytes of a big-endian word: the delta
-    # as a four-byte VLQ, 7 bits a byte with the high bit set on all but the
-    # last, then status, pitch and velocity; leading VLQ bytes with no bits are dropped
-    word = 0x80_80_80_00 << 24 | event
-    for k in range(4):
-        word |= (delta >> 7 * k & 0x7F) << 8 * k + 24
-    record = word.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 1:]
-    keep = np.ones(record.shape, dtype=bool)
-    for k in range(1, 4):
-        keep[:, 3 - k] = delta >> 7 * k > 0
-    body = record[keep]
+    # one record per event, the low bytes of a big-endian word: the delta as a VLQ
+    # as wide as the longest delta needs, 7 bits a byte with the high bit set on all
+    # but the last, then status, pitch and velocity
+    vlq_bytes = max(1, -(-longest.bit_length() // 7))
+    word = np.concatenate((notes.pitch[off], notes.pitch))[order] << 8
+    # order indexes the note-offs first, then the note-ons
+    word |= np.where(order < len(notes), 0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY)
+    word |= (delta & 0x7F) << 24
+    for k in range(1, vlq_bytes):
+        word |= (delta >> 7 * k & 0x7F | 0x80) << 8 * k + 24
+    size = 4 if vlq_bytes == 1 else 8
+    body = word.astype(f">u{size}").view(np.uint8).reshape(-1, size)[:, size - 3 - vlq_bytes:]
+    if vlq_bytes > 1:
+        # leading VLQ bytes with no bits are dropped
+        keep = np.ones(body.shape, dtype=bool)
+        for k in range(1, vlq_bytes):
+            keep[:, vlq_bytes - 1 - k] = delta >> 7 * k > 0
+        body = body[keep]
     tempo = b"\x00\xff\x51\x03" + micros_per_quarter.to_bytes(3, "big")
     end_of_track = b"\x00\xff\x2f\x00"
     track_size = len(tempo) + body.size + len(end_of_track)

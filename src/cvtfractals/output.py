@@ -19,8 +19,8 @@ import numpy as np
 BLOCK_VALUES = 1 << 16
 # maxima below this are spelled once into a lookup table, then gathered
 _TABLE_LIMIT = 1 << 16
-# wider values are spelled in groups of four decimal digits
-_GROUP = 10**4
+# wider values are spelled in groups of three decimal digits
+_GROUP = 10**3
 
 
 def _spell(values: np.ndarray, width: int, fill: int = 0) -> np.ndarray:
@@ -64,15 +64,19 @@ def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
         # a digit and its separator are one little-endian 16-bit word, digit byte first
         digit_word = ord(sep) << 8 | ord("0")
     else:
-        # a value is groups of four digits in 4-byte words, then a separator word:
-        # index g holds g bare, _GROUP + g holds g zero-padded
-        groups = -(-ndig // 4)
-        width = 4 * (groups + 1)
+        # a value is groups of three digits, each in a 4-byte word whose last byte is
+        # the separator in the lowest group and padding above it: index g holds g
+        # bare, _GROUP + g holds g zero-padded
+        groups = -(-ndig // 3)
+        width = 4 * groups
         index = np.arange(_GROUP)
-        lowest = np.concatenate((_spell(index, 4), _spell(index, 4, ord("0")))).view("u4")[:, 0]
-        upper = lowest.copy()
+        spelled = np.concatenate((_spell(index, 3), _spell(index, 3, ord("0"))))
+        lowest = np.column_stack((spelled, np.full(2 * _GROUP, ord(sep), np.uint8)))
+        upper = np.column_stack((np.zeros(2 * _GROUP, np.uint8), spelled))
+        lowest, upper = lowest.view("u4")[:, 0], upper.view("u4")[:, 0]
         upper[0] = 0  # a zero above the leading group spells nothing
-        sep_word = np.array([0, 0, 0, ord(sep)], dtype=np.uint8).view("u4")
+        # groups are split in 32-bit arithmetic when every value fits it
+        unsigned = np.uint32 if top < 2**32 else np.uint64
     for start in range(0, flat.size, BLOCK_VALUES):
         chunk = flat[start : start + BLOCK_VALUES]
         if width == 2:
@@ -83,14 +87,17 @@ def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
         elif not wide:
             buf = np.take(table, chunk).view(np.uint8).reshape(-1, width)
         else:
-            words = np.empty((chunk.size, groups + 1), dtype=np.uint32)
-            words[:, -1:] = sep_word
-            rest = chunk.astype(np.int64, copy=False)
+            words = np.empty((chunk.size, groups), dtype=np.uint32)
+            rest = chunk.astype(unsigned)
             for col in range(groups - 1, -1, -1):
                 high = rest // _GROUP
-                # bare below _GROUP, else the low group padded: _GROUP + rest % _GROUP
-                slot = np.minimum(rest, rest - (high - 1) * _GROUP)
-                words[:, col] = (upper if col < groups - 1 else lowest)[slot]
+                # bare below _GROUP, else the low group padded: _GROUP + rest % _GROUP;
+                # in place, as fresh temporaries cost more than the arithmetic
+                slot = high * _GROUP
+                np.subtract(rest, slot, out=slot)
+                slot += _GROUP
+                np.minimum(slot, rest, out=slot)
+                words[:, col] = np.take(upper if col < groups - 1 else lowest, slot)
                 rest = high
             buf = words.view(np.uint8)
         buf[(cols - 1 - start) % cols :: cols, -1] = ord("\n")

@@ -43,6 +43,21 @@ def test_cvt_sum_past_the_digit_limit_prints_nothing(capsys, digit_limit):
     assert f"{digit_limit} digits" in captured.err
 
 
+@pytest.mark.parametrize("a,b,digits", [
+    ("9" * 4300, "1", 4301),
+    ("9" * 4300, "9" * 4300, 4301),
+    ("5" * 4300, "5" * 4300, 4301),
+], ids=["nines+1", "nines+nines", "fives+fives"])
+def test_cvt_sum_past_the_digit_limit_is_explained_in_cli_terms(capsys, digit_limit, a, b, digits):
+    # the message names the sum's digits and the limit, not a Python function to call
+    assert run(["cvt", "--base", "10", a, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "set_int_max_str_digits" not in captured.err
+    assert captured.err == (f"error: the sum a + b has {digits} digits, and this interpreter"
+                            f" prints integers of at most {digit_limit} digits\n")
+
+
 def test_operand_past_the_digit_limit_names_the_limit(capsys, digit_limit):
     assert run(["cvt", "--base", "2", "9" * (digit_limit + 1), "1"]) == 2
     captured = capsys.readouterr()

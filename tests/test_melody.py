@@ -22,6 +22,7 @@ from cvtfractals import (
 )
 from cvtfractals.melody import MAX_DELTA, MAX_TEMPO, MIN_TEMPO
 from helpers import (
+    _smf_vlq,
     brute_force_run_count,
     brute_force_runs,
     cell_keys,
@@ -47,6 +48,50 @@ def make_notes(*rows):
 def csv_rows(rows):
     """(onset, duration, pitch) rows as written to CSV, every note at velocity 100."""
     return [row + (100,) for row in rows]
+
+
+def run_walk_notes(pairs, extent, scale="major", base_pitch=60):
+    """The notes of the brute-force run walk, and how many were clamped to 127.
+
+    Notes are (onset, duration, pitch) tuples stably sorted by (onset, pitch), so
+    notes tied on both keep the row-major order of their runs.
+    """
+    intervals = SCALES[scale]
+    expected, high = [], 0
+    for row, start, length in brute_force_runs(pairs):
+        octave, degree = divmod(extent - 1 - row, len(intervals))
+        raw = base_pitch + 12 * octave + intervals[degree]
+        high += raw > 127
+        expected.append((start * 120, length * 120, min(127, raw)))
+    expected.sort(key=lambda n: (n[0], n[2]))
+    return expected, high
+
+
+@st.composite
+def run_cells_st(draw, grids):
+    """(base, depth, cells) on one of the (base, depth) grids: a few horizontal runs.
+
+    Some runs end at a row's last column, some of those are followed by a run from
+    column 0 of the next row, so that the two are adjacent keys; on grids of at most
+    2**10 columns some runs fill their row.
+    """
+    base, depth = draw(st.sampled_from(grids))
+    extent = base**depth
+    short = st.integers(1, min(extent, 20))
+    cells = set()
+    for _ in range(draw(st.integers(1, 6))):
+        row, length = draw(st.integers(0, extent - 1)), draw(short)
+        kind = draw(st.sampled_from(["inside", "row-end", "wrap", "full-row"]))
+        if kind == "full-row" and extent <= 2**10:
+            start, length = 0, extent
+        elif kind == "inside":
+            start = draw(st.integers(0, extent - length))
+        else:
+            start = extent - length
+        cells.update((row, col) for col in range(start, start + length))
+        if kind == "wrap" and row + 1 < extent:
+            cells.update((row + 1, col) for col in range(draw(short)))
+    return base, depth, sorted(cells)
 
 
 class TestCellsToNotes:
@@ -112,20 +157,52 @@ class TestCellsToNotes:
         coord = st.integers(min_value=0, max_value=extent - 1)
         pairs = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
         cells = CellSet(base, depth, cell_keys(pairs, extent))
-        intervals = SCALES[scale]
-        expected = []
-        high = 0
-        for row, start, length in brute_force_runs(pairs):
-            octave, degree = divmod(extent - 1 - row, len(intervals))
-            raw = base_pitch + 12 * octave + intervals[degree]
-            high += raw > 127
-            expected.append((start * 120, length * 120, min(127, raw)))
-        # stable: notes tied on (onset, pitch) keep the row-major order of their runs
-        expected.sort(key=lambda n: (n[0], n[2]))
+        expected, high = run_walk_notes(pairs, extent, scale, base_pitch)
         notes = cells_to_notes(cells, scale=scale, base_pitch=base_pitch)
         assert len(notes) == brute_force_run_count(pairs)
         assert note_rows(notes) == expected
         assert notes.clamped_high == high
+
+    @pytest.mark.parametrize("grids", [
+        [(2, 0), (2, 1), (3, 2), (16, 2), (17, 2), (2, 10), (256, 2)],
+        [(300, 2), (2, 17), (2**16 + 1, 1), (3, 11)],
+    ], ids=["8-and-16-bit-columns", "32-bit-columns"])
+    @given(data=st.data(), scale=st.sampled_from(sorted(SCALES)),
+           base_pitch=st.integers(min_value=0, max_value=127))
+    @settings(max_examples=80, deadline=None)
+    def test_runs_at_row_ends_match_run_walk(self, grids, data, scale, base_pitch):
+        # a run ending at a row's last column and one starting at the next row's
+        # column 0 are adjacent keys, and must stay two notes; the grids put the
+        # columns in 8-, 16- and 32-bit sort keys, with sparse cells on the widest
+        base, depth, pairs = data.draw(run_cells_st(grids))
+        cells = CellSet(base, depth, cell_keys(pairs, base**depth))
+        expected, high = run_walk_notes(pairs, base**depth, scale, base_pitch)
+        notes = cells_to_notes(cells, scale=scale, base_pitch=base_pitch)
+        assert note_rows(notes) == expected
+        assert notes.clamped_high == high
+
+    @given(
+        st.integers(min_value=0, max_value=63),
+        st.lists(st.tuples(st.integers(0, 35), st.integers(1, 20)), min_size=2, max_size=8,
+                 unique_by=lambda run: run[0]),
+        st.sampled_from(sorted(SCALES)),
+        st.integers(min_value=100, max_value=127),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tied_clamped_notes_keep_row_major_order_in_csv(
+            self, tmp_path_factory, start, runs, scale, base_pitch):
+        # rows 0..35 of a 64-row grid rank 28 or more from the bottom, so from
+        # base pitch 100 every scale clamps them to 127: runs from one column tie on
+        # (onset, pitch), and the CSV shows their durations in row-major order
+        pairs = sorted({(row, col) for row, length in runs
+                        for col in range(start, min(64, start + length))})
+        notes = cells_to_notes(CellSet(2, 6, cell_keys(pairs, 64)), scale=scale,
+                               base_pitch=base_pitch)
+        expected, high = run_walk_notes(pairs, 64, scale, base_pitch)
+        assert high == len(runs)
+        path = tmp_path_factory.mktemp("ties") / "n.csv"
+        write_notes_csv(notes, path)
+        assert path.read_bytes() == csv_bytes(csv_rows(expected), header=CSV_HEADER)
 
     def test_scale_degrees(self):
         cells = CellSet(8, 1, cell_keys([(row, 0) for row in range(8)], 8))
@@ -442,6 +519,33 @@ def note_rows_st(draw):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def vlq_width_rows_st(draw):
+    """(rows, width): notes one after another whose longest MIDI delta needs `width` VLQ bytes.
+
+    The deltas are each gap to the next onset (the first from tick 0) and each
+    duration; one of them is the drawn longest, and every other is at most that.
+    A note may sound with a second one of the same onset and duration, adding
+    deltas of 0.
+    """
+    width = draw(st.integers(1, 4))
+    lo = 0 if width == 1 else 2 ** (7 * (width - 1))
+    hi = 2 ** (7 * width) - 1
+    longest = draw(st.sampled_from([lo, hi]) | st.integers(lo, hi))
+    count = draw(st.integers(1, 12))
+    deltas = [draw(st.sampled_from([0, 1, longest]) | st.integers(0, longest))
+              for _ in range(2 * count)]
+    deltas[draw(st.integers(0, 2 * count - 1))] = longest
+    rows, clock = [], 0
+    for gap, duration in zip(deltas[::2], deltas[1::2]):
+        onset, duration = clock + gap, max(1, duration)
+        rows.append((onset, duration, draw(st.integers(0, 127))))
+        if draw(st.booleans()):
+            rows.append((onset, duration, draw(st.integers(0, 127))))
+        clock = onset + duration
+    return draw(st.permutations(rows)), width
+
+
 class TestColumnarOracles:
     @given(note_rows_st(), st.sampled_from([4, 61, 120, 3000]))
     @settings(max_examples=80, deadline=None)
@@ -457,6 +561,28 @@ class TestColumnarOracles:
         for is_end in (0, 1):
             assert sorted((n[2], n[0] + is_end * n[1]) for n in parsed) == sorted(
                 (r[2], r[0] + is_end * r[1]) for r in rows)
+
+    @given(vlq_width_rows_st(), st.sampled_from([4, 120, 7812]))
+    @settings(max_examples=80, deadline=None)
+    def test_vlq_width_set_by_longest_delta_matches_reference(
+            self, tmp_path_factory, drawn, tempo):
+        rows, width = drawn
+        path = tmp_path_factory.mktemp("vlq") / "n.mid"
+        write_midi(make_notes(*rows), tempo_bpm=tempo, path=path)
+        data = path.read_bytes()
+        assert data == reference_midi(rows, 480, tempo)
+        ticks = sorted(tick for onset, duration, _ in rows for tick in (onset, onset + duration))
+        assert max(len(_smf_vlq(b - a)) for a, b in zip([0] + ticks, ticks)) == width
+
+    def test_one_byte_deltas_make_four_byte_records(self, tmp_path):
+        # every delta of a zero-carry melody is at most one cell, 120 ticks < 2**7
+        notes = cells_to_notes(zero_carry_set(2, 6))
+        path = tmp_path / "m.mid"
+        write_midi(notes, tempo_bpm=120, path=path)
+        data = path.read_bytes()
+        assert data == reference_midi(note_rows(notes), 480, 120)
+        tempo, end_of_track = 7, 4
+        assert int.from_bytes(data[18:22], "big") == tempo + 4 * 2 * len(notes) + end_of_track
 
     @pytest.mark.parametrize("delta", BOUNDARY_DELTAS)
     def test_every_vlq_length(self, tmp_path, delta):

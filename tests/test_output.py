@@ -92,7 +92,7 @@ class TestAsciiRows:
         st.sampled_from([" ", ","]),
     )
     def test_matches_join(self, table_limit, values, sep):
-        # a limit of 0 forces the four-digit-group path on every array, never the lookup table
+        # a limit of 0 forces the digit-group path on every array, never the lookup table
         old = output._TABLE_LIMIT
         output._TABLE_LIMIT = table_limit
         try:
@@ -128,7 +128,7 @@ class TestAsciiRows:
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
     def test_block_boundaries(self, block, monkeypatch, tmp_path):
         # with 7 columns most of these block sizes end a block mid-row;
-        # _TABLE_LIMIT = 0 sends every array down the four-digit-group path
+        # _TABLE_LIMIT = 0 sends every array down the digit-group path
         monkeypatch.setattr(output, "BLOCK_VALUES", block)
         for table_limit in (0, output._TABLE_LIMIT):
             monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
@@ -149,10 +149,13 @@ class TestAsciiRows:
     @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
     @pytest.mark.parametrize("sep", [" ", ","])
     def test_four_digit_group_boundaries(self, table_limit, sep, monkeypatch):
-        # the values on each side of every group boundary, mixed with short ones
+        # the values on each side of every four-digit and every three-digit group
+        # boundary, mixed with short ones
         monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
         edges = [10 ** (4 * j) + d for j in range(1, 5) for d in (-1, 0, 1)]
-        values = np.array([edges, [0, 1, 9, 10, 99, 100, 2**63 - 1, 2**16, 2**16 - 1, 7, 0, 5]])
+        three_digit_edges = [10 ** (3 * k) + d for k in range(1, 7) for d in (-1, 0)]
+        values = np.array([edges, [0, 1, 9, 10, 99, 100, 2**63 - 1, 2**16, 2**16 - 1, 7, 0, 5],
+                           three_digit_edges])
         expected = "".join(sep.join(map(str, row)) + "\n" for row in values.tolist())
         assert b"".join(ascii_rows(values, sep)) == expected.encode()
 
