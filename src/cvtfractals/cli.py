@@ -105,12 +105,13 @@ def _cmd_dimension(args) -> int:
     if args.estimate and args.depth is None:
         print("error: --estimate requires --depth", file=sys.stderr)
         return 2
+    # the estimate comes before any output too, so a size cap refuses it whole
+    if args.estimate:
+        est = dimension.estimate_dimension(table.zero_carry_set(args.base, args.depth))
     closed = dimension.similarity_dimension(args.base)
     print(f"similarity dimension (base {args.base}) = {closed:.6f}")
     print(f"gap below plane dimension 2 = {dimension.dimension_gap(args.base):.6f}")
     if args.estimate:
-        cells = table.zero_carry_set(args.base, args.depth)
-        est = dimension.estimate_dimension(cells)
         print(f"box-count estimate (depth {args.depth}) = {est.slope:.6f}"
               f" (fit quality {est.fit_quality:.6f})")
         _write(args.report, lambda path: dimension.write_dimension_csv(est, path))

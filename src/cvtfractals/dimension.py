@@ -26,6 +26,7 @@ from .errors import (
     _check_base,
     _check_int,
 )
+from . import output
 from .output import write_chunks
 from .table import CellSet, _sort_unique
 
@@ -104,17 +105,46 @@ def box_count(cells: CellSet, box_size: int) -> int:
     if box_size % size:
         size, boxes = 1, cells.keys
     if box_size > size:
-        # box key (row // box_size) * boxes_across + col // box_size, built in place
-        # from keys on the (extent // size)-wide grid of the remembered boxes
-        rows, cols = np.divmod(boxes, extent // size)
-        rows //= box_size // size
-        cols //= box_size // size
-        rows *= extent // box_size
-        rows += cols
-        del cols
-        boxes = _sort_unique(rows)
+        boxes = _sort_unique(_coarser_keys(boxes, extent // size, box_size // size))
         object.__setattr__(cells, "_boxes", (box_size, boxes))
     return int(boxes.size)
+
+
+def _coarser_keys(boxes: np.ndarray, width: int, factor: int) -> np.ndarray:
+    """Unsorted keys of the factor x factor boxes holding keys row * width + col.
+
+    A box key is (row // factor) * across + col // factor, across = width // factor.
+    Dividing a key by factor is exact on row * width, so it gives the strip key
+    row * across + col // factor; a strip key over across is the row, and the box
+    key is the strip key minus (row - row // factor) * across. Numpy divides by a
+    scalar far faster than np.divmod does, and 32-bit integers faster than 64-bit
+    ones, so each block of output.BLOCK_VALUES keys is first copied into the
+    narrowest type of a key below width**2. That type holds every scalar here too,
+    as numpy 2 requires. The blocks keep the temporaries small, so they come back
+    from the heap still in cache, and the box keys go into one array of the
+    narrowest type of a key below across**2.
+    """
+    across = width // factor
+    dtype = _key_type(width)
+    keys = np.empty(boxes.size, _key_type(across))
+    step = output.BLOCK_VALUES
+    for start in range(0, boxes.size, step):
+        strips = boxes[start : start + step].astype(dtype)
+        strips //= factor
+        rows = strips // across
+        rows -= rows // factor
+        rows *= across
+        np.subtract(strips, rows, out=keys[start : start + step], casting="unsafe")
+    return keys
+
+
+def _key_type(width: int) -> np.dtype:
+    """Narrowest type of a key row * width + col: unsigned up to 32 bits, else int64.
+
+    Never uint64, which numpy 1.x promotes with a Python int to float64.
+    """
+    dtype = np.min_scalar_type(width * width - 1)
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.int64)
 
 
 def estimate_dimension(cells: CellSet) -> DimensionEstimate:

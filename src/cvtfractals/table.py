@@ -123,13 +123,14 @@ def _check_extent(base: int, depth: int, limit: int, what: str) -> None:
 
 
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
-    """Sort a fresh int64 array in place and drop repeats, without np.unique.
+    """Sort a fresh integer array in place and drop repeats, without np.unique.
 
     np.unique is many times slower than a sort plus an adjacent-difference
-    mask on large int64 arrays. The sort is stable because numpy's default
-    int64 sort costs as much on presorted input as on random input, while the
-    stable one (timsort) merges the runs it finds: keys built by substitution
-    arrive as one run, and box keys as one run per grid row.
+    mask on large arrays. The sort is stable because numpy's default integer
+    sort costs as much on presorted input as on random input, while the stable
+    one (timsort above 16 bits) merges the runs it finds: the int64 keys built
+    by substitution arrive as one run, and the narrow box keys that
+    dimension.box_count builds in blocks arrive as one run per grid row.
     """
     keys.sort(kind="stable")
     if keys.size < 2:

@@ -55,6 +55,15 @@ def brute_force_box_count(cells, extent: int, box_size: int) -> int:
     return count
 
 
+def set_box_count(cells, box_size: int) -> int:
+    """Count occupied boxes as the set of each cell's (row, col) box index.
+
+    Unlike brute_force_box_count it costs nothing per empty box, so it counts
+    sparse cells on the widest grids.
+    """
+    return len({(r // box_size, c // box_size) for r, c in cells})
+
+
 def brute_force_run_count(cells) -> int:
     """Count maximal horizontal runs by probing each cell's left neighbor."""
     occupied = set(cells)

@@ -305,7 +305,9 @@ def test_runtime_errors_exit_one(capsys, tmp_path):
      "error: pattern extent 2**1000000000 exceeds limit 1048576"),
     (["overlay", "--small", "2", "--depth", "13"],
      "error: pattern extent 3**13 exceeds limit 1048576"),
-], ids=["table", "fractal", "overlay"])
+    (["dimension", "--base", "2", "--estimate", "--depth", "21"],
+     "error: pattern extent 2**21 exceeds limit 1048576"),
+], ids=["table", "fractal", "overlay", "dimension"])
 def test_oversized_requests_name_the_limit(capsys, argv, message):
     assert run(argv) == 1
     captured = capsys.readouterr()

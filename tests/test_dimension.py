@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cvtfractals import output
 from cvtfractals import (
     SEARCH_CAP,
     CellSet,
@@ -27,7 +30,8 @@ from cvtfractals import (
     write_dimension_csv,
     zero_carry_set,
 )
-from helpers import brute_force_box_count, cell_keys
+from cvtfractals.table import MAX_KEY_EXTENT
+from helpers import brute_force_box_count, cell_keys, set_box_count
 
 
 @st.composite
@@ -37,6 +41,31 @@ def random_cellsets(draw, min_depth=0):
     coord = st.integers(min_value=0, max_value=base**depth - 1)
     pairs = draw(st.lists(st.tuples(coord, coord), max_size=50))
     return CellSet(base, depth, cell_keys(pairs, base**depth))
+
+
+# grids whose boxes-across counts lie on both sides of 2**4, 2**8 and 2**16,
+# where the type of the box keys changes, up to the widest grid a CellSet admits
+WIDE_GRIDS = [
+    (15, 1), (4, 2), (17, 1), (255, 1), (2, 8), (257, 1), (255, 2), (257, 2),
+    (65535, 1), (2, 16), (65537, 1), (2, 17), (46340, 2), (2, 31),
+]
+assert max(base**depth for base, depth in WIDE_GRIDS) == MAX_KEY_EXTENT
+
+
+@functools.cache
+def divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+@st.composite
+def sparse_wide_cellsets(draw):
+    base, depth = draw(st.sampled_from(WIDE_GRIDS))
+    extent = base**depth
+    # the grid's edges give keys up to extent**2 - 1, next to each other
+    coord = st.integers(0, extent - 1) | st.sampled_from([0, 1, extent - 2, extent - 1])
+    pairs = draw(st.lists(st.tuples(coord, coord), max_size=40))
+    return CellSet(base, depth, cell_keys(pairs, extent))
 
 
 class TestSimilarityDimension:
@@ -189,6 +218,33 @@ class TestBoxCount:
         assert not cells.keys.flags.writeable
         assert [f.name for f in dataclasses.fields(cells)] == ["base", "depth", "keys"]
         assert "_boxes" not in repr(cells)
+
+    @given(sparse_wide_cellsets(), st.sampled_from([1, 3, 7, output.BLOCK_VALUES]), st.data())
+    def test_sparse_wide_grids_against_set_oracle(self, cells, block, data):
+        # random sequences of sizes, sorted or not, so that the narrow box keys one
+        # count remembers feed the next; blocks of 1, 3 and 7 keys end mid-array
+        sizes = data.draw(st.lists(st.sampled_from(divisors(cells.extent)), max_size=6))
+        if data.draw(st.booleans()):
+            sizes.sort()
+        old = output.BLOCK_VALUES
+        output.BLOCK_VALUES = block
+        try:
+            counts = [box_count(cells, size) for size in sizes]
+        finally:
+            output.BLOCK_VALUES = old
+        assert counts == [set_box_count(cells, size) for size in sizes]
+
+    def test_finest_scale_builds_no_wide_temporaries(self):
+        # 279,936 cells: two int64 temporaries of every box key would take 4.48 MB;
+        # narrow keys built in blocks take under 2 MB
+        cells = zero_carry_set(3, 7)
+        tracemalloc.start()
+        try:
+            assert box_count(cells, 3) == 6**6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_threads_sharing_a_set_count_alike(self):
         # a lost update of the remembered boxes may only cost time, never a count
