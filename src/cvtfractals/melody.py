@@ -24,7 +24,7 @@ from .errors import (
     _int_array,
 )
 from .dimension import _ols_fit
-from .output import ascii_rows, write_chunks
+from .output import csv_rows, write_chunks
 from .table import CellSet
 
 SCALES: dict[str, tuple[int, ...]] = {
@@ -167,7 +167,7 @@ def pitch_series(notes: Notes) -> list[float]:
     if not len(notes):
         raise EmptyInputError("cannot reduce an empty note sequence")
     # notes are sorted by onset, so each onset's notes are one contiguous slice
-    firsts = np.flatnonzero(np.diff(notes.onset, prepend=-1))
+    firsts = np.concatenate(([0], np.flatnonzero(notes.onset[1:] != notes.onset[:-1]) + 1))
     return np.maximum.reduceat(notes.pitch, firsts).astype(float).tolist()
 
 
@@ -227,7 +227,8 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     off = np.lexsort((notes.pitch, end))
     tick = np.concatenate((end[off], notes.onset))
     order = np.argsort(tick, kind="stable")
-    delta = np.diff(tick[order], prepend=0)
+    delta = tick[order]
+    delta[1:] -= delta[:-1]  # numpy reads an overlapping operand as it was before the write
     longest = int(delta.max()) if delta.size else 0
     if longest > MAX_DELTA:
         raise ValueError(f"delta time {longest} exceeds the MIDI limit {MAX_DELTA}")
@@ -263,9 +264,10 @@ def write_notes_csv(notes: Notes, path) -> None:
 
     The velocity column holds VELOCITY, the velocity write_midi gives every note.
     """
-    velocity = np.full(len(notes), VELOCITY)
-    columns = np.column_stack((notes.onset, notes.duration, notes.pitch, velocity))
-    write_chunks(path, chain([b"onset,duration,pitch,velocity\n"], ascii_rows(columns, ",")))
+    columns = (notes.onset, notes.duration, notes.pitch, np.broadcast_to(VELOCITY, len(notes)))
+    top = max(int(col.max(initial=0)) for col in columns)
+    body = csv_rows(len(notes), 4, top, lambda rows: np.column_stack([c[rows] for c in columns]))
+    write_chunks(path, chain([b"onset,duration,pitch,velocity\n"], body))
 
 
 def read_series_csv(path) -> list[float]:

@@ -1,8 +1,8 @@
 """Decimal text encoding of integer arrays and atomic file writes.
 
-Every writer of the package goes through `write_chunks`, and every ASCII
-integer grid it writes (PBM/PGM pixels, CSV tables and cell lists) is spelled
-by `ascii_rows`, so one encoder decides the bytes of all of them.
+Every writer of the package goes through `write_chunks`. Every ASCII integer
+grid it writes is spelled by `ascii_rows` (PBM/PGM pixels) or `csv_rows` (CSV
+tables, cell and note lists), and one encoder decides the bytes of both.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _spell(values: np.ndarray, width: int, fill: int = 0) -> np.ndarray:
 
 
 def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
-    """Yield the lines of a 2D array of integers in [0, 2**63 - 1] as ASCII bytes blocks.
+    """The lines of a 2D array of integers in [0, 2**63 - 1] as blocks of ASCII bytes.
 
     Each row's decimal values are joined by `sep` and the row ends with a
     newline; a row of no values is an empty line. Blocks hold BLOCK_VALUES
@@ -49,10 +49,22 @@ def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
     values = np.ascontiguousarray(values)
     rows, cols = values.shape
     if not values.size:
-        yield b"\n" * rows
-        return
+        return [b"\n" * rows]
     flat = values.reshape(-1)
-    top = int(flat.max())
+    chunks = (flat[start : start + BLOCK_VALUES] for start in range(0, flat.size, BLOCK_VALUES))
+    return _spelled(chunks, int(flat.max()), cols, sep)
+
+
+def csv_rows(count: int, cols: int, top: int, block) -> Iterable[bytes]:
+    """Yield the CSV lines of `count` rows of `cols` integers in [0, top], a block at a time:
+    block(rows) builds the slice `rows` of them, BLOCK_VALUES values or one row at most."""
+    step = max(1, BLOCK_VALUES // cols)
+    chunks = (block(slice(start, start + step)).reshape(-1) for start in range(0, count, step))
+    return _spelled(chunks, top, cols, ",")
+
+
+def _spelled(chunks: Iterable[np.ndarray], top: int, cols: int, sep: str) -> Iterable[bytes]:
+    """The bytes of consecutive flat chunks of rows of `cols` integers in [0, top]."""
     ndig = len(str(top))
     wide = top >= _TABLE_LIMIT
     if not wide:
@@ -77,8 +89,8 @@ def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
         upper[0] = 0  # a zero above the leading group spells nothing
         # groups are split in 32-bit arithmetic when every value fits it
         unsigned = np.uint32 if top < 2**32 else np.uint64
-    for start in range(0, flat.size, BLOCK_VALUES):
-        chunk = flat[start : start + BLOCK_VALUES]
+    start = 0
+    for chunk in chunks:
         if width == 2:
             # an add per value costs a fraction of a gather
             buf = chunk.astype("<u2")
@@ -101,6 +113,7 @@ def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
                 rest = high
             buf = words.view(np.uint8)
         buf[(cols - 1 - start) % cols :: cols, -1] = ord("\n")
+        start += chunk.size
         out = buf.tobytes()
         # one-digit values fill every byte; otherwise drop the 0 padding
         yield out if width == 2 else out.translate(None, b"\0")

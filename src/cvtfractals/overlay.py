@@ -37,9 +37,9 @@ class OverlayReport:
     measured: DimensionEstimate
 
     def to_text(self) -> str:
-        cells = ", ".join(f"({r}, {c})" for r, c in self.overflow_cells)
         copies = len(self.overflow_cells)
         grid = self.overflow_cells.extent
+        cells = ", ".join("(%d, %d)" % divmod(k, grid) for k in self.overflow_cells.keys.tolist())
         slope = self.measured.slope
         lines = [
             f"overlay: base-{grid - 1} generator over base-{grid} generator",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SizeLimitError, _check_base, _check_int, _int_array
-from .output import ascii_rows, write_chunks
+from .output import ascii_rows, csv_rows, write_chunks
 
 MAX_TABLE_EXTENT = 4096
 MAX_SPARSE_EXTENT = 1 << 20
@@ -64,7 +64,7 @@ class CellSet:
     A cell enters and is held as its key row * extent + col, so row-major
     order is key order: the constructor takes a 1-D integer array or iterable
     of keys, and `keys` is one read-only, sorted, duplicate-free int64 array.
-    Iteration builds sorted (row, col) tuples on demand.
+    A set is its keys: divmod(keys, extent) gives back the rows and columns.
     """
 
     base: int
@@ -87,30 +87,12 @@ class CellSet:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "keys", keys)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.depth) == (other.base, other.depth) and np.array_equal(
-            self.keys, other.keys
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.depth, self.keys.tobytes()))
-
     @property
     def extent(self) -> int:
         return self.base**self.depth
 
     def __len__(self) -> int:
         return self.keys.size
-
-    def __iter__(self):
-        rows, cols = np.divmod(self.keys, self.extent)
-        return zip(rows.tolist(), cols.tolist())
-
-    def to_array(self) -> np.ndarray:
-        """Cells as an (n, 2) int64 array in sorted order (shape (0, 2) when empty)."""
-        return np.stack(np.divmod(self.keys, self.extent), axis=1)
 
 
 def _check_extent(base: int, depth: int, limit: int, what: str) -> None:
@@ -231,12 +213,14 @@ def write_table_csv(table: CvTable, path) -> None:
 
     The top-left corner cell is left empty; body cells are decimal carry values.
     """
-    index = np.arange(table.extent)
-    header = ascii_rows(index[None, :], ",")
-    body = ascii_rows(np.column_stack((index, table.values)), ",")
-    write_chunks(path, itertools.chain([b","], header, body))
+    index, values = np.arange(table.extent), table.values
+    body = csv_rows(table.extent, table.extent + 1, max(table.extent - 1, int(values.max())),
+                    lambda rows: np.column_stack((index[rows], values[rows])))
+    write_chunks(path, itertools.chain([b","], ascii_rows(index[None, :], ","), body))
 
 
 def write_cells_csv(cells: CellSet, path) -> None:
     """One "row,col" line per cell, in the set's sorted order."""
-    write_chunks(path, ascii_rows(cells.to_array(), ","))
+    keys, extent = cells.keys, cells.extent
+    write_chunks(path, csv_rows(keys.size, 2, extent - 1,
+                                lambda rows: np.column_stack(np.divmod(keys[rows], extent))))

@@ -23,6 +23,11 @@ def cell_keys(pairs, extent: int) -> list[int]:
     return [r * extent + c for r, c in pairs]
 
 
+def cell_pairs(cells) -> list[tuple[int, int]]:
+    """A CellSet's (row, col) cells in key order, each key decoded as divmod(key, extent)."""
+    return [divmod(key, cells.extent) for key in cells.keys.tolist()]
+
+
 def substituted_cells(levels, modulus: int) -> set[tuple[int, int]]:
     """Cells of one generator per level, (x, y) digit pairs below modulus, substituted.
 

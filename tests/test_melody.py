@@ -26,6 +26,7 @@ from helpers import (
     brute_force_run_count,
     brute_force_runs,
     cell_keys,
+    cell_pairs,
     csv_bytes,
     parse_smf,
     reference_midi,
@@ -136,7 +137,7 @@ class TestCellsToNotes:
     @pytest.mark.parametrize("base,depth", [(2, 4), (2, 5), (3, 3), (5, 2)])
     def test_note_count_matches_run_oracle(self, base, depth):
         cells = zero_carry_set(base, depth)
-        assert len(cells_to_notes(cells)) == brute_force_run_count(cells)
+        assert len(cells_to_notes(cells)) == brute_force_run_count(cell_pairs(cells))
 
     @pytest.mark.parametrize("base,depth", [(2, 5), (4, 2)])
     def test_total_duration_covers_every_cell(self, base, depth):

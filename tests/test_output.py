@@ -1,6 +1,8 @@
+import contextlib
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,35 @@ SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
 def table_csv_oracle(tab):
     header = "," + ",".join(str(i) for i in range(tab.extent))
     return csv_bytes([[i, *row] for i, row in enumerate(tab.values.tolist())], header)
+
+
+@contextlib.contextmanager
+def block_values(block):
+    """Encode in blocks of `block` values; a function-scoped monkeypatch cannot serve @given."""
+    old = output.BLOCK_VALUES
+    output.BLOCK_VALUES = block
+    try:
+        yield
+    finally:
+        output.BLOCK_VALUES = old
+
+
+@st.composite
+def blocks_around(draw, count, cols):
+    """A BLOCK_VALUES whose blocks of whole rows of `cols` values hold count - 1,
+    count or count + 1 rows, or one or two; a block shorter than a row holds one."""
+    rows = draw(st.sampled_from([count - 1, count, count + 1, 1, 2]).filter(lambda r: r > 0))
+    return draw(st.integers(1 if rows == 1 else rows * cols, rows * cols + cols - 1))
+
+
+def traced_peak(write) -> int:
+    """The most memory that tracemalloc sees allocated at once during write()."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPnmBytes:
@@ -79,6 +110,69 @@ class TestCsvBytes:
         path = tmp_path_factory.mktemp("cells") / "c.csv"
         write_cells_csv(CellSet(base, depth, cell_keys(pairs, base**depth)), path)
         assert path.read_bytes() == csv_bytes(sorted(set(pairs)))
+
+
+class TestCsvWriterBlocks:
+    """Each CSV writer spells a block of whole rows at a time, never a copy of all of them."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_cells_csv_at_block_edges(self, data, tmp_path_factory):
+        # up to the widest grid, whose coordinates take the digit-group encoder
+        base, depth = data.draw(st.sampled_from([(2, 3), (3, 4), (10, 5), (2, 31)]))
+        extent = base**depth
+        count = data.draw(st.integers(0, 9))
+        keys = data.draw(st.sets(st.integers(0, extent * extent - 1), min_size=count,
+                                 max_size=count))
+        path = tmp_path_factory.mktemp("cells") / "c.csv"
+        with block_values(data.draw(blocks_around(count, 2))):
+            write_cells_csv(CellSet(base, depth, sorted(keys)), path)
+        assert path.read_bytes() == csv_bytes(divmod(key, extent) for key in sorted(keys))
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_table_csv_at_block_edges(self, data, tmp_path_factory):
+        tab = build_table(*data.draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (5, 2), (2, 4)])))
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        with block_values(data.draw(blocks_around(tab.extent, tab.extent + 1))):
+            write_table_csv(tab, path)
+        assert path.read_bytes() == table_csv_oracle(tab)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_notes_csv_at_block_edges(self, data, tmp_path_factory):
+        count = data.draw(st.integers(0, 9))
+        ticks = st.sampled_from(EDGE_VALUES) | st.integers(1, 2**62 - 1)
+        rows = data.draw(st.lists(st.tuples(ticks, ticks.filter(bool), st.integers(0, 127)),
+                                  min_size=count, max_size=count))
+        notes = melody.Notes(*map(list, zip(*rows))) if rows else melody.Notes([], [], [])
+        path = tmp_path_factory.mktemp("notes") / "n.csv"
+        with block_values(data.draw(blocks_around(count, 4))):
+            melody.write_notes_csv(notes, path)
+        columns = (notes.onset.tolist(), notes.duration.tolist(), notes.pitch.tolist())
+        expected = csv_bytes([(*row, melody.VELOCITY) for row in zip(*columns)],
+                             "onset,duration,pitch,velocity")
+        assert path.read_bytes() == expected
+
+    def test_cells_csv_peak(self, tmp_path):
+        # 279,936 cells: an (n, 2) int64 copy takes 4.48 MB and the divmod pair it is
+        # stacked from as much again; a block of BLOCK_VALUES values and the encoder's
+        # buffers take under 3 MB
+        cells = zero_carry_set(3, 7)
+        assert traced_peak(lambda: write_cells_csv(cells, tmp_path / "c.csv")) < 4_000_000
+
+    def test_table_csv_peak(self, tmp_path):
+        # 1024 rows of 1025 values: an int64 copy of the index column and the table
+        # takes 8.4 MB; a block of whole rows and the encoder's buffers under 3 MB
+        tab = build_table(2, 10)
+        assert traced_peak(lambda: write_table_csv(tab, tmp_path / "t.csv")) < 4_000_000
+
+    def test_notes_csv_peak(self, tmp_path):
+        # 265,721 notes: a 4-column int64 copy takes 8.5 MB and a velocity column 2.1 MB;
+        # a block of whole rows and the digit-group encoder's buffers take under 4 MB
+        notes = melody.cells_to_notes(zero_carry_set(2, 12))
+        assert len(notes) == 265_721
+        assert traced_peak(lambda: melody.write_notes_csv(notes, tmp_path / "n.csv")) < 5_000_000
 
 
 class TestAsciiRows:
