@@ -57,6 +57,13 @@ class CvTable:
         return self.base**self.digits_k
 
 
+class _Fresh:
+    """Sorted int64 keys built for one CellSet and held by nothing else: adopted, not copied."""
+
+    def __init__(self, keys: np.ndarray) -> None:  # no dataclass: it costs ~0.8 ms per import
+        self.keys = keys
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class CellSet:
     """Sparse set of (row, col) cells on a base**depth grid.
@@ -65,6 +72,7 @@ class CellSet:
     order is key order: the constructor takes a 1-D integer array or iterable
     of keys, and `keys` is one read-only, sorted, duplicate-free int64 array.
     A set is its keys: divmod(keys, extent) gives back the rows and columns.
+    The constructor sorts a copy of its keys; a substituted set adopts _substitute's.
     """
 
     base: int
@@ -76,11 +84,15 @@ class CellSet:
         depth = _check_int("depth", depth, 0)
         _check_extent(base, depth, MAX_KEY_EXTENT, "grid")
         extent = base**depth
-        # no dtype: forcing int64 here would truncate float keys instead of refusing them
-        keys = _int_array("keys", keys if isinstance(keys, np.ndarray) else list(keys), 1)
-        # a copy, so the caller's array is never sorted; its ends bound every key, and an
-        # unsigned key past int64 turns negative and sorts first
-        keys = _sort_unique(keys.astype(np.int64))
+        if not isinstance(keys, _Fresh):
+            # no dtype: forcing int64 here would truncate float keys instead of refusing them
+            keys = _int_array("keys", keys if isinstance(keys, np.ndarray) else list(keys), 1)
+            keys = _Fresh(keys.astype(np.int64))  # a copy: the caller's array stays as it is
+        keys = keys.keys.astype(np.int64, copy=False)
+        # one pass tells sorted and unique; the ends then bound every key, and an unsigned
+        # key past int64 turns negative and sorts first
+        if not (keys[1:] > keys[:-1]).all():
+            keys = _sort_unique(keys)
         _int_array("keys", keys[[0, -1]] if keys.size else keys, 1, 0, extent * extent - 1)
         keys.setflags(write=False)
         object.__setattr__(self, "base", base)
@@ -110,9 +122,9 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
     np.unique is many times slower than a sort plus an adjacent-difference
     mask on large arrays. The sort is stable because numpy's default integer
     sort costs as much on presorted input as on random input, while the stable
-    one (timsort above 16 bits) merges the runs it finds: the int64 keys built
-    by substitution arrive as one run, and the narrow box keys that
-    dimension.box_count builds in blocks arrive as one run per grid row.
+    one (timsort above 16 bits) merges the runs it finds: the narrow box keys
+    that dimension.box_count builds in blocks arrive as one run per grid row,
+    and keys that _substitute sorted come here as one run, and only with repeats.
     """
     keys.sort(kind="stable")
     if keys.size < 2:
@@ -138,7 +150,7 @@ def _substitute(levels, modulus: int) -> CellSet:
     """Place levels[i], digit-pair keys x * modulus + y, in every cell kept by levels < i.
 
     Extent and cell count are checked against their limits before any allocation.
-    The keys are sorted after every level, so CellSet gets them in order.
+    The keys are sorted after every level, so CellSet adopts them in order.
     """
     depth = len(levels)
     _check_extent(modulus, depth, MAX_SPARSE_EXTENT, "pattern")
@@ -148,9 +160,10 @@ def _substitute(levels, modulus: int) -> CellSet:
     extent = modulus**depth
     keys = np.zeros(1, dtype=np.int64)
     for level in levels:
-        # one Horner step: a key is linear in the digit pairs of every level
-        x, y = np.divmod(level, modulus)
-        pairs = x * extent + y
+        # one Horner step, x * extent + y, in place: level is x * modulus + y
+        pairs = level // modulus
+        pairs *= extent - modulus
+        pairs += level
         # the sorted keys give one sorted run per digit pair, and a sorted level one per
         # key: laid out with the fewer runs, the stable sort merges them
         if pairs.size < keys.size:
@@ -158,13 +171,13 @@ def _substitute(levels, modulus: int) -> CellSet:
         else:
             keys = (keys[:, None] * modulus + pairs).ravel()
         keys.sort(kind="stable")
-    return CellSet(modulus, depth, keys)
+    return CellSet(modulus, depth, _Fresh(keys))
 
 
 def _carries(base: int) -> np.ndarray:
     """carries[x, y]: whether digits x and y carry out of their position, x + y >= base."""
     digit = np.arange(base)
-    return digit[:, None] + digit >= base
+    return digit[:, None] >= base - digit
 
 
 def _carry_triangle(base: int, carry: int) -> np.ndarray:

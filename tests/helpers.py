@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 def digits(value: int, base: int) -> list[int]:
     """Base-`base` digits of a non-negative integer, least significant first; 0 has none."""
@@ -16,6 +18,19 @@ def digits(value: int, base: int) -> list[int]:
         value, d = divmod(value, base)
         out.append(d)
     return out
+
+
+def digit_pair_keys(base: int, value: int) -> np.ndarray:
+    """Keys x * base + y of the single-digit pairs whose sum x + y has carry value `value`.
+
+    By the digit-sum identity, x + y carries (x + y - s(x + y)) / (base - 1) times,
+    s being the base-`base` digit sum, and a carry out of digit 0 is worth base.
+    The value of each of the 2 * base - 1 sums comes from `digits`; numpy only
+    looks it up for every pair.
+    """
+    value_of_sum = np.array([(t - sum(digits(t, base))) // (base - 1) * base
+                             for t in range(2 * base - 1)])
+    return np.flatnonzero(value_of_sum[np.add.outer(np.arange(base), np.arange(base))] == value)
 
 
 def cell_keys(pairs, extent: int) -> list[int]:

@@ -373,6 +373,26 @@ def test_value_pattern_over_the_cell_limit_is_refused_cleanly():
         assert len(lines) == 1 and lines[0].startswith("error: ") and "exceeds limit" in lines[0]
 
 
+@pytest.mark.parametrize("base,depth,cells,limit_mib", [
+    (90, 2, 16_769_025, 320),
+    (5792, 1, 16_776_528, 640),
+])
+def test_the_largest_admitted_patterns_fit_their_address_space(base, depth, cells, limit_mib):
+    # the two patterns nearest MAX_CELLS, 134 MB of keys each; base 5792 finds its one
+    # level among 33.5M digit pairs, base 90 substitutes 4,095 pairs into 4,095 cells
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mib << 20, limit_mib << 20))
+
+    proc = _run_module("cvtfractals", "fractal", "--base", str(base), "--depth", str(depth),
+                       preexec_fn=limit_memory)
+    assert proc.returncode == 0, proc.stderr
+    extent = base**depth
+    assert proc.stdout == (f"pattern of carry value 0 in base {base}, depth {depth}: "
+                           f"{cells} cells on a {extent}x{extent} grid\n")
+
+
 def test_cli_module_runs_as_a_script():
     proc = _run_module("cvtfractals.cli", "fractal", "--base", "2", "--depth", "3")
     assert proc.returncode == 0

@@ -2,10 +2,11 @@
 checked against the dense table and the count law."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvtfractals import (
@@ -20,7 +21,7 @@ from cvtfractals import (
 )
 from cvtfractals.radix import cvt
 from cvtfractals.table import MAX_CELLS, _carry_triangle, _substitute
-from helpers import cell_keys, cell_pairs, digits, substituted_cells
+from helpers import cell_keys, cell_pairs, digit_pair_keys, digits, substituted_cells
 
 # largest digit count per base whose dense table stays small enough to scan often
 MAX_DEPTH = {2: 6, 3: 4, 4: 3, 5: 3, 6: 3}
@@ -158,6 +159,63 @@ def test_substitution_with_a_generator_per_level_matches_the_oracle(case):
                         modulus)
     assert cells.extent == modulus ** len(levels)
     assert cell_pairs(cells) == sorted(substituted_cells(levels, modulus))
+
+
+@st.composite
+def repeating_level_stacks(draw):
+    """level_stacks, half of them with one level given a second copy of one of its pairs."""
+    modulus, levels = draw(level_stacks())
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(levels) - 1))
+        levels[i] = levels[i] + [draw(st.sampled_from(levels[i]))]
+    return modulus, levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_level_stacks(), st.randoms(use_true_random=False))
+def test_substituted_keys_are_the_keys_the_constructor_makes(case, rng):
+    modulus, levels = case
+    cells = _substitute([np.array([x * modulus + y for x, y in level]) for level in levels],
+                        modulus)
+    keys = cells.keys
+    assert keys.dtype == np.int64 and not keys.flags.writeable
+    assert (keys[1:] > keys[:-1]).all()
+    shuffled = keys.tolist() * 2
+    rng.shuffle(shuffled)
+    assert keys.tolist() == CellSet(modulus, len(levels), shuffled).keys.tolist()
+
+
+def test_the_constructor_copies_its_callers_keys():
+    # sorted or not, the caller's array is neither sorted nor frozen nor shared
+    for given_keys in ([5, 0, 3, 0], [0, 3, 5]):
+        keys = np.array(given_keys)
+        cells = CellSet(3, 1, keys)
+        assert cells.keys.tolist() == [0, 3, 5] and not cells.keys.flags.writeable
+        assert keys.tolist() == given_keys and keys.flags.writeable
+        assert not np.shares_memory(cells.keys, keys)
+
+
+@pytest.mark.parametrize("base,depth,bound", [(3, 8, 1.75), (2000, 1, 4)])
+def test_substitution_peaks_near_the_size_of_its_keys(base, depth, bound):
+    # 1,679,616 and 2,001,000 keys: the set adopts the sorted keys that substitution
+    # built instead of copying them, a level's offsets are computed in place, and the
+    # carry triangle is found by comparing digits, not through base**2 int64 sums
+    tracemalloc.start()
+    try:
+        cells = zero_carry_set(base, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * cells.keys.nbytes
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 2000), st.sampled_from([0, 1]))
+@example(2000, 0)
+@example(2000, 1)
+def test_wide_bases_match_the_digit_sum_oracle(base, carry):
+    cells = carry_value_set(base, 1, carry * base)
+    assert np.array_equal(cells.keys, digit_pair_keys(base, carry * base))
 
 
 def test_triangle_limit_matches_the_pattern_count():
