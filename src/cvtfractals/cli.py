@@ -36,6 +36,7 @@ def _int_arg(lo: int, hi: int | None = None):
 _base_arg = _int_arg(2)
 _nonneg_arg = _int_arg(0)
 _pos_arg = _int_arg(1)
+COMMANDS = ("cvt", "table", "fractal", "dimension", "target-base", "overlay", "music", "spectrum")
 
 
 def _write(path, write) -> None:
@@ -166,77 +167,84 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names one."""
     parser = argparse.ArgumentParser(
         prog="cvtfractals",
         description="Carry-value fractals: patterns, dimensions, images, melodies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:  # the usage line of an unrecognized-arguments error names them all
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
 
-    p = sub.add_parser("cvt", help="carry value and carry-free sum of two integers")
-    p.add_argument("--base", type=_base_arg, required=True)
-    p.add_argument("a", type=_nonneg_arg)
-    p.add_argument("b", type=_nonneg_arg)
-    p.set_defaults(func=_cmd_cvt)
+    def add(name, **kw):
+        return sub.add_parser(name, **kw) if command not in COMMANDS or name == command else None
 
-    p = sub.add_parser("table", help="build a carry-value table")
-    p.add_argument("--base", type=_base_arg, required=True)
-    p.add_argument("--digits", type=_pos_arg, required=True)
-    p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--pgm", metavar="PATH")
-    p.add_argument("--zoom", type=_pos_arg, default=1)
-    p.set_defaults(func=_cmd_table)
+    if p := add("cvt", help="carry value and carry-free sum of two integers"):
+        p.add_argument("--base", type=_base_arg, required=True)
+        p.add_argument("a", type=_nonneg_arg)
+        p.add_argument("b", type=_nonneg_arg)
+        p.set_defaults(func=_cmd_cvt)
 
-    p = sub.add_parser("fractal", help="extract a carry-value pattern")
-    p.add_argument("--base", type=_base_arg, required=True)
-    p.add_argument("--depth", type=_nonneg_arg, required=True)
-    p.add_argument("--value", type=_nonneg_arg, help="carry value to select (default 0)")
-    p.add_argument("--pbm", metavar="PATH")
-    p.add_argument("--cells", metavar="PATH")
-    p.add_argument("--zoom", type=_pos_arg, default=1)
-    p.set_defaults(func=_cmd_fractal)
+    if p := add("table", help="build a carry-value table"):
+        p.add_argument("--base", type=_base_arg, required=True)
+        p.add_argument("--digits", type=_pos_arg, required=True)
+        p.add_argument("--csv", metavar="PATH")
+        p.add_argument("--pgm", metavar="PATH")
+        p.add_argument("--zoom", type=_pos_arg, default=1)
+        p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("dimension", help="closed-form dimension, optional box-count estimate")
-    p.add_argument("--base", type=_base_arg, required=True)
-    p.add_argument("--estimate", action="store_true")
-    p.add_argument("--depth", type=_int_arg(2))
-    p.add_argument("--report", metavar="PATH")
-    p.set_defaults(func=_cmd_dimension)
+    if p := add("fractal", help="extract a carry-value pattern"):
+        p.add_argument("--base", type=_base_arg, required=True)
+        p.add_argument("--depth", type=_nonneg_arg, required=True)
+        p.add_argument("--value", type=_nonneg_arg, help="carry value to select (default 0)")
+        p.add_argument("--pbm", metavar="PATH")
+        p.add_argument("--cells", metavar="PATH")
+        p.add_argument("--zoom", type=_pos_arg, default=1)
+        p.set_defaults(func=_cmd_fractal)
 
-    p = sub.add_parser("target-base", help="base whose dimension is nearest a target")
-    p.add_argument("--dimension", type=float, required=True)
-    p.set_defaults(func=_cmd_target_base)
+    if p := add("dimension", help="closed-form dimension, optional box-count estimate"):
+        p.add_argument("--base", type=_base_arg, required=True)
+        p.add_argument("--estimate", action="store_true")
+        p.add_argument("--depth", type=_int_arg(2))
+        p.add_argument("--report", metavar="PATH")
+        p.set_defaults(func=_cmd_dimension)
 
-    p = sub.add_parser("overlay", help="overflow generator of consecutive bases")
-    p.add_argument("--small", type=_base_arg, required=True)
-    p.add_argument("--depth", type=_int_arg(2), required=True)
-    p.add_argument("--report", metavar="PATH")
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_overlay)
+    if p := add("target-base", help="base whose dimension is nearest a target"):
+        p.add_argument("--dimension", type=float, required=True)
+        p.set_defaults(func=_cmd_target_base)
 
-    p = sub.add_parser("music", help="render a zero-carry pattern as a MIDI melody")
-    p.add_argument("--base", type=_base_arg, required=True)
-    p.add_argument("--depth", type=_nonneg_arg, required=True)
-    p.add_argument("--scale", choices=sorted(melody.SCALES), default="major")
-    p.add_argument("--base-pitch", type=_int_arg(0, 127), default=60)
-    p.add_argument("--tempo", type=_int_arg(melody.MIN_TEMPO, melody.MAX_TEMPO), default=120,
-                   help="beats per minute; each grid cell is a sixteenth note")
-    p.add_argument("--midi", metavar="PATH", required=True)
-    p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--spectrum", action="store_true",
-                   help="also fit the pitch series' spectral exponent")
-    p.set_defaults(func=_cmd_music)
+    if p := add("overlay", help="overflow generator of consecutive bases"):
+        p.add_argument("--small", type=_base_arg, required=True)
+        p.add_argument("--depth", type=_int_arg(2), required=True)
+        p.add_argument("--report", metavar="PATH")
+        p.add_argument("--csv", metavar="PATH")
+        p.set_defaults(func=_cmd_overlay)
 
-    p = sub.add_parser("spectrum", help="spectral exponent of a series")
-    p.add_argument("--in", dest="series", metavar="SERIES.csv", required=True,
-                   help="CSV with one value per line (optional header)")
-    p.set_defaults(func=_cmd_spectrum)
+    if p := add("music", help="render a zero-carry pattern as a MIDI melody"):
+        p.add_argument("--base", type=_base_arg, required=True)
+        p.add_argument("--depth", type=_nonneg_arg, required=True)
+        p.add_argument("--scale", choices=sorted(melody.SCALES), default="major")
+        p.add_argument("--base-pitch", type=_int_arg(0, 127), default=60)
+        p.add_argument("--tempo", type=_int_arg(melody.MIN_TEMPO, melody.MAX_TEMPO), default=120,
+                       help="beats per minute; each grid cell is a sixteenth note")
+        p.add_argument("--midi", metavar="PATH", required=True)
+        p.add_argument("--csv", metavar="PATH")
+        p.add_argument("--spectrum", action="store_true",
+                       help="also fit the pitch series' spectral exponent")
+        p.set_defaults(func=_cmd_music)
+
+    if p := add("spectrum", help="spectral exponent of a series"):
+        p.add_argument("--in", dest="series", metavar="SERIES.csv", required=True,
+                       help="CSV with one value per line (optional header)")
+        p.set_defaults(func=_cmd_spectrum)
 
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -159,14 +159,16 @@ def _substitute(levels, modulus: int) -> CellSet:
         raise SizeLimitError(f"pattern of {count} cells exceeds limit {MAX_CELLS}")
     extent = modulus**depth
     keys = np.zeros(1, dtype=np.int64)
-    for level in levels:
+    for i, level in enumerate(levels):
         # one Horner step, x * extent + y, in place: level is x * modulus + y
         pairs = level // modulus
         pairs *= extent - modulus
         pairs += level
         # the sorted keys give one sorted run per digit pair, and a sorted level one per
         # key: laid out with the fewer runs, the stable sort merges them
-        if pairs.size < keys.size:
+        if not i:  # the first level's offsets are the keys themselves: no level-size sum
+            keys = pairs
+        elif pairs.size < keys.size:
             keys = (pairs[:, None] + keys * modulus).ravel()
         else:
             keys = (keys[:, None] * modulus + pairs).ravel()

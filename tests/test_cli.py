@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cvtfractals import raster
+from cvtfractals import cli, raster
 from cvtfractals.cli import run
 from helpers import parse_pnm, parse_smf
 
@@ -430,3 +431,73 @@ def test_empty_output_path_is_an_error(capsys, tmp_path, monkeypatch, argv):
     assert "wrote" not in captured.out
     assert captured.err.startswith("error: ")
     assert sorted(os.listdir(tmp_path)) == ["work"]
+
+
+# one valid call per subcommand; each starts with a required flag and its value
+VALID = {
+    "cvt": ["--base", "2", "13", "14"],
+    "table": ["--base", "3", "--digits", "2", "--csv", "t.csv"],
+    "fractal": ["--base", "2", "--depth", "3", "--value", "2", "--pbm", "f.pbm"],
+    "dimension": ["--base", "3", "--estimate", "--depth", "4"],
+    "target-base": ["--dimension", "1.68"],
+    "overlay": ["--small", "2", "--depth", "3", "--csv", "o.csv"],
+    "music": ["--base", "2", "--depth", "3", "--scale", "major", "--midi", "m.mid", "--spectrum"],
+    "spectrum": ["--in", "s.csv"],
+}
+BAD_VALUE = {name: [argv[0], "x", *argv[2:]] for name, argv in VALID.items()}
+BAD_VALUE.update(music=[*VALID["music"], "--scale", "dorian"], spectrum=["--in"])
+PARSES = [
+    *([name, *argv] for name, argv in VALID.items()),
+    *([name, "-h"] for name in VALID),
+    *([name, *argv[2:]] for name, argv in VALID.items()),  # a required flag missing
+    *([name, *argv] for name, argv in BAD_VALUE.items()),
+    *([name, *argv, "--bogus"] for name, argv in VALID.items()),
+    *([name, *argv, "--", "7"] for name, argv in VALID.items()),
+    ["cvt", "--base", "2", "--", "13", "14"],
+    [], ["-h"], ["--help", "music"], ["frobnicate"], ["frobnicate", "--bogus"],
+]
+
+
+def _parse(capsys, parser, argv):
+    """Exit code, namespace, stdout and stderr of parser.parse_args(argv)."""
+    try:
+        result = 0, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code, None
+    return (*result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=" ".join)
+def test_a_calls_parser_parses_as_the_full_parser_does(capsys, argv):
+    # the usage line of an unrecognized-arguments error names every subcommand, also when
+    # the parser holds only the one called
+    assert _parse(capsys, cli.build_parser(argv[0] if argv else None), argv) == \
+        _parse(capsys, cli.build_parser(), argv)
+
+
+@pytest.fixture
+def added_subcommands(monkeypatch):
+    """The name of every subcommand added to a parser from now on, in order."""
+    names, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
+
+
+def test_a_call_builds_only_its_own_subcommand(capsys, added_subcommands):
+    assert run(["target-base", "--dimension", "1.68"]) == 0
+    assert added_subcommands == ["target-base"]
+    for name in cli.COMMANDS:
+        added_subcommands.clear()
+        assert run([name, "-h"]) == 0
+        assert added_subcommands == [name]
+
+
+def test_the_full_parser_adds_every_listed_subcommand(capsys, added_subcommands):
+    # cli.COMMANDS decides which calls get a narrow parser and names them in its usage
+    assert run(["-h"]) == 0
+    assert added_subcommands == list(cli.COMMANDS)

@@ -195,11 +195,12 @@ def test_the_constructor_copies_its_callers_keys():
         assert not np.shares_memory(cells.keys, keys)
 
 
-@pytest.mark.parametrize("base,depth,bound", [(3, 8, 1.75), (2000, 1, 4)])
+@pytest.mark.parametrize("base,depth,bound", [(3, 8, 1.75), (2000, 1, 4), (2000, 1, 2.5)])
 def test_substitution_peaks_near_the_size_of_its_keys(base, depth, bound):
     # 1,679,616 and 2,001,000 keys: the set adopts the sorted keys that substitution
     # built instead of copying them, a level's offsets are computed in place, and the
-    # carry triangle is found by comparing digits, not through base**2 int64 sums
+    # carry triangle is found by comparing digits, not through base**2 int64 sums; the
+    # first level's offsets are its keys, so at depth 1 only the triangle is held beside them
     tracemalloc.start()
     try:
         cells = zero_carry_set(base, depth)
