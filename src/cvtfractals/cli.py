@@ -136,8 +136,9 @@ def _cmd_overlay(args) -> int:
 
 
 def _cmd_music(args) -> int:
-    cells = table.zero_carry_set(args.base, args.depth)
-    notes = melody.cells_to_notes(cells, scale=args.scale, base_pitch=args.base_pitch)
+    # the cell set is dropped once its notes exist
+    notes = melody.cells_to_notes(table.zero_carry_set(args.base, args.depth),
+                                  scale=args.scale, base_pitch=args.base_pitch)
     print(f"zero-carry pattern base {args.base} depth {args.depth}: {len(notes)} notes")
     if notes.clamped_high:
         print(f"note: clamped {notes.clamped_high} of {len(notes)} pitches above 127 to 127",

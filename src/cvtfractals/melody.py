@@ -65,9 +65,9 @@ class Notes:
     Each index is one note: onset and duration in ticks and MIDI pitch; every
     note sounds at velocity VELOCITY. The constructor takes any three
     equal-length 1-D integer sequences, checks each column's range once and
-    stable-sorts the notes, so notes tied on (onset, pitch) keep the order
-    they were given in. clamped_high counts the pitches that were lowered to
-    127 to fit the MIDI range before the table was built.
+    copies it, stable-sorting notes given out of order, so notes tied on
+    (onset, pitch) keep their order. clamped_high counts the pitches that were
+    lowered to 127 to fit the MIDI range before the table was built.
     """
 
     onset: np.ndarray
@@ -82,9 +82,14 @@ class Notes:
         if len({col.size for col in columns.values()}) > 1:
             sizes = ", ".join(f"{name} {col.size}" for name, col in columns.items())
             raise ValueError(f"note columns differ in length: {sizes}")
-        order = np.lexsort((columns["pitch"], columns["onset"]))
+        onset, pitch = columns["onset"], columns["pitch"]
+        # notes in order already skip the sort, whose permutation would be the identity
+        later, tied = onset[1:] > onset[:-1], onset[1:] == onset[:-1]
+        if not np.all(later | tied & (pitch[1:] >= pitch[:-1])):
+            order = np.lexsort((pitch, onset))
+            columns = {name: col[order] for name, col in columns.items()}
         for name, col in columns.items():
-            col = col[order].astype(np.int64, copy=False)
+            col = col.astype(np.int64)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
@@ -112,12 +117,12 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
     kept (the melody may be polyphonic). Notes tied on (onset, pitch) keep the
     row-major order of their runs.
 
-    The runs are found in row-major order and handed to Notes already in
-    (onset, pitch) order, so its own sort finds one sorted run. They are put in
-    that order by a stable lexsort on narrow keys, the pitch as uint8 and the
-    column in the smallest unsigned type that holds extent - 1: on keys of 8 and
-    16 bits numpy's stable sort is a radix sort, and being stable it keeps tied
-    notes in row-major order.
+    The runs are found in row-major order, in the narrowest unsigned type that
+    holds their keys and ticks, and handed to Notes in (onset, pitch) order, so
+    it does not sort them again. They are put in that order by a stable lexsort
+    on narrow keys, the pitch as uint8 and the column in the smallest unsigned
+    type that holds extent - 1: on keys of 8 and 16 bits numpy's stable sort is
+    a radix sort, and being stable it keeps tied notes in row-major order.
     """
     if not len(cells):
         raise EmptyInputError("cannot render an empty cell set")
@@ -135,14 +140,16 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
     lookup = np.append(pitches[:top], 127).astype(np.uint8)
     keys = cells.keys
     # keys are sorted row-major; with a spare column after each row,
-    # row * (extent + 1) + col steps by one exactly between the cells of a run
-    spaced = keys // extent
-    spaced += keys
+    # row * (extent + 1) + col steps by one exactly between the cells of a run; it
+    # and every run's ticks fit the narrowest type that holds it and a row's ticks
+    spaced = keys.astype(np.min_scalar_type(extent * max(extent + 1, TICKS_PER_CELL)))
+    spaced += spaced // extent
     # edge[i] is set where a run starts at cell i, edge[i + 1] where one ends there
     edge = np.ones(keys.size + 1, dtype=bool)
     np.not_equal(np.diff(spaced), 1, out=edge[1:-1])
     start = spaced[edge[:-1]]
     length = spaced[edge[1:]] - start + 1
+    del spaced, edge
     row = start // (extent + 1)
     col = start - row * (extent + 1)
     # each run's row ranked from the bottom and capped at top: its index in lookup
@@ -150,13 +157,10 @@ def cells_to_notes(cells: CellSet, scale: str = "major", base_pitch: int = 60) -
     np.minimum(rank, top, out=rank)
     pitch = lookup[rank]
     order = np.lexsort((pitch, col.astype(np.min_scalar_type(extent - 1))))
-    # columns stay below 2**31, so the tick products cannot wrap int64
-    return Notes(
-        col[order] * TICKS_PER_CELL,
-        length[order] * TICKS_PER_CELL,
-        pitch[order],
-        clamped_high=int(np.count_nonzero(rank == top)),
-    )
+    onset, duration = (a[order] * TICKS_PER_CELL for a in (col, length))
+    pitch = pitch[order]
+    del start, col, length, order
+    return Notes(onset, duration, pitch, clamped_high=int(np.count_nonzero(rank == top)))
 
 
 def pitch_series(notes: Notes) -> list[float]:
@@ -215,34 +219,39 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     back as itself; both are refused before anything is written.
 
     Notes are sorted by (onset, pitch), so the note-ons are in event order
-    already and only the note-offs are sorted, by (end, pitch). The two runs
-    are then merged by tick with a stable sort, note-offs listed first:
-    stability is what puts every note-off before every note-on of its tick
-    and keeps each run's pitch order. Every delta gets as many VLQ bytes as
-    the longest one needs, and when that is one byte no byte is dropped.
+    already and only the note-offs are sorted, by (end, pitch), with ticks in
+    the narrowest type that holds the last note end. The two runs are then
+    merged by tick with a stable sort, note-offs listed first: stability is
+    what puts every note-off before every note-on of its tick and keeps each
+    run's pitch order. Every delta gets as many VLQ bytes as the longest one
+    needs; when that is one, each event is a 32-bit word and no byte is dropped.
     """
     tempo_bpm = _check_int("tempo_bpm", tempo_bpm, MIN_TEMPO, MAX_TEMPO)
     micros_per_quarter = round(60_000_000 / tempo_bpm)
     end = notes.onset + notes.duration
-    off = np.lexsort((notes.pitch, end))
-    tick = np.concatenate((end[off], notes.onset))
-    order = np.argsort(tick, kind="stable")
-    delta = tick[order]
+    end = end.astype(np.min_scalar_type(int(end.max(initial=0))))
+    pitch = notes.pitch.astype(np.uint8)
+    off = np.lexsort((pitch, end))
+    delta = np.concatenate((end[off], notes.onset), dtype=end.dtype, casting="unsafe")
+    order = np.argsort(delta, kind="stable")
+    delta = delta[order]
     delta[1:] -= delta[:-1]  # numpy reads an overlapping operand as it was before the write
-    longest = int(delta.max()) if delta.size else 0
+    longest = int(delta.max(initial=0))
     if longest > MAX_DELTA:
         raise ValueError(f"delta time {longest} exceeds the MIDI limit {MAX_DELTA}")
-    # one record per event, the low bytes of a big-endian word: the delta as a VLQ
-    # as wide as the longest delta needs, 7 bits a byte with the high bit set on all
-    # but the last, then status, pitch and velocity
+    # one record per event, the low bytes of a big-endian word of `size` bytes: the
+    # delta as a VLQ as wide as the longest delta needs, 7 bits a byte with the high
+    # bit set on all but the last, then status, pitch and velocity
     vlq_bytes = max(1, -(-longest.bit_length() // 7))
-    word = np.concatenate((notes.pitch[off], notes.pitch))[order] << 8
+    size = 4 if vlq_bytes == 1 else 8
+    delta = delta.astype(f"u{size}", copy=False)
+    word = np.concatenate((pitch[off], pitch), dtype=delta.dtype)[order] << 8
     # order indexes the note-offs first, then the note-ons
-    word |= np.where(order < len(notes), 0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY)
+    status = np.array([0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY], word.dtype)
+    word |= np.where(order < len(notes), *status)
     word |= (delta & 0x7F) << 24
     for k in range(1, vlq_bytes):
         word |= (delta >> 7 * k & 0x7F | 0x80) << 8 * k + 24
-    size = 4 if vlq_bytes == 1 else 8
     body = word.astype(f">u{size}").view(np.uint8).reshape(-1, size)[:, size - 3 - vlq_bytes:]
     if vlq_bytes > 1:
         # leading VLQ bytes with no bits are dropped

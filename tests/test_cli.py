@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -392,6 +393,24 @@ def test_the_largest_admitted_patterns_fit_their_address_space(base, depth, cell
     extent = base**depth
     assert proc.stdout == (f"pattern of carry value 0 in base {base}, depth {depth}: "
                            f"{cells} cells on a {extent}x{extent} grid\n")
+
+
+def test_the_widest_admitted_melody_fits_its_address_space(tmp_path):
+    # 5,792 notes from the 16,776,528 cells of base 5792, 134 MB of keys: the runs are
+    # found in 32-bit keys, each temporary dropped once used, and the cells are let go
+    # once their notes exist; with int64 run keys this call needed about 500 MiB
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (440 << 20, 440 << 20))
+
+    path = tmp_path / "m.mid"
+    proc = _run_module("cvtfractals", "music", "--base", "5792", "--depth", "1",
+                       "--midi", str(path), preexec_fn=limit_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"zero-carry pattern base 5792 depth 1: 5792 notes\nwrote {path}\n"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "dfdf2a48683bae4c35849218da0bc145457349ebfefd90e4ed62e70e0c30077e")
 
 
 def test_cli_module_runs_as_a_script():

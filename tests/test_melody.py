@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestCellsToNotes:
         notes = cells_to_notes(zero_carry_set(3, 3))
         keys = list(zip(notes.onset.tolist(), notes.pitch.tolist()))
         assert keys == sorted(keys)
+
+    def test_runs_are_found_in_narrow_temporaries(self):
+        # 177,147 cells, 1.4 MB of keys: runs are found in 32-bit keys, each temporary
+        # dropped once used; int64 run keys and their differences took 6.8 x the keys
+        cells = zero_carry_set(2, 11)
+        tracemalloc.start()
+        try:
+            notes = cells_to_notes(cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(notes) == 88_574
+        assert peak <= 4.5 * cells.keys.nbytes
 
     @pytest.mark.parametrize("base,depth", [(2, 4), (2, 5), (3, 3), (5, 2)])
     def test_note_count_matches_run_oracle(self, base, depth):
@@ -324,6 +338,19 @@ class TestSpectralExponent:
 
 
 class TestWriteMidi:
+    def test_events_are_built_in_narrow_words(self, tmp_path):
+        # 88,574 notes, 2.1 MB of columns: the event ticks fit 32 bits and every delta one
+        # VLQ byte, so each event is a 32-bit word; int64 ticks and words took 4.08 x
+        notes = cells_to_notes(zero_carry_set(2, 11))
+        columns = notes.onset.nbytes + notes.duration.nbytes + notes.pitch.nbytes
+        tracemalloc.start()
+        try:
+            write_midi(notes, tempo_bpm=120, path=tmp_path / "m.mid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * columns
+
     def test_empty_notes(self, tmp_path):
         path = tmp_path / "empty.mid"
         write_midi(make_notes(), tempo_bpm=120, path=path)
@@ -488,6 +515,29 @@ class TestNotes:
             assert col.dtype == np.int64
             with pytest.raises(ValueError):
                 col[0] = 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ordered_and_shuffled_tables_build_equal_columns(self, data):
+        # (onset, pitch) is unique, so a shuffled copy sorts back to the ordered table;
+        # small onsets give many notes of one onset, told apart by their pitch alone
+        onset_st = st.one_of(st.integers(0, 3), st.integers(0, 2**62 - 1))
+        rows = sorted(data.draw(st.lists(
+            st.tuples(onset_st, st.integers(1, 2**62 - 1), st.integers(0, 127)),
+            unique_by=lambda row: (row[0], row[2]), max_size=30)), key=lambda row: (row[0], row[2]))
+        ordered = [np.array(col, dtype=np.int64) for col in zip(*rows)] or [
+            np.zeros(0, dtype=np.int64)] * 3
+        given_bytes = [col.tobytes() for col in ordered]
+        shuffle = np.array(data.draw(st.permutations(range(len(rows)))), dtype=np.intp)
+        notes, shuffled = Notes(*ordered), Notes(*(col[shuffle] for col in ordered))
+        columns = (notes.onset, notes.duration, notes.pitch)
+        for col, given_col, built, rebuilt in zip(
+                ordered, given_bytes, columns, (shuffled.onset, shuffled.duration, shuffled.pitch)):
+            assert built.tobytes() == given_col and rebuilt.tobytes() == given_col
+            # the caller's arrays are neither frozen, changed nor shared
+            assert col.flags.writeable and col.tobytes() == given_col
+            assert not np.shares_memory(col, built)
+            assert not built.flags.writeable and built.dtype == np.int64
 
     def test_stable_sort_by_onset_then_pitch(self):
         notes = make_notes((3, 1, 60), (0, 9, 70), (0, 4, 70), (0, 2, 50))
