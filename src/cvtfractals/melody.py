@@ -24,7 +24,7 @@ from .errors import (
     _int_array,
 )
 from .dimension import _ols_fit
-from .output import csv_rows, write_chunks
+from .output import ascii_rows, write_chunks
 from .table import CellSet
 
 SCALES: dict[str, tuple[int, ...]] = {
@@ -233,6 +233,8 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     pitch = notes.pitch.astype(np.uint8)
     off = np.lexsort((pitch, end))
     delta = np.concatenate((end[off], notes.onset), dtype=end.dtype, casting="unsafe")
+    pitch = np.concatenate((pitch[off], pitch))  # each event's pitch, in delta's order
+    del off, end  # freed before the merge sort allocates its permutation
     order = np.argsort(delta, kind="stable")
     delta = delta[order]
     delta[1:] -= delta[:-1]  # numpy reads an overlapping operand as it was before the write
@@ -245,7 +247,7 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     vlq_bytes = max(1, -(-longest.bit_length() // 7))
     size = 4 if vlq_bytes == 1 else 8
     delta = delta.astype(f"u{size}", copy=False)
-    word = np.concatenate((pitch[off], pitch), dtype=delta.dtype)[order] << 8
+    word = pitch[order].astype(delta.dtype) << 8
     # order indexes the note-offs first, then the note-ons
     status = np.array([0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY], word.dtype)
     word |= np.where(order < len(notes), *status)
@@ -275,13 +277,15 @@ def write_notes_csv(notes: Notes, path) -> None:
     """
     columns = (notes.onset, notes.duration, notes.pitch, np.broadcast_to(VELOCITY, len(notes)))
     top = max(int(col.max(initial=0)) for col in columns)
-    body = csv_rows(len(notes), 4, top, lambda rows: np.column_stack([c[rows] for c in columns]))
+    body = ascii_rows(len(notes), 4, top,
+                      lambda rows: np.column_stack([c[rows] for c in columns]), ",")
     write_chunks(path, chain([b"onset,duration,pitch,velocity\n"], body))
 
 
 def read_series_csv(path) -> list[float]:
-    """Read one value per line; a single leading non-numeric header is allowed."""
+    """Read one value per line, skipping blank lines; the first other line may be a header."""
     values: list[float] = []
+    first = True
     with open(path, "r", encoding="ascii") as fh:
         for i, line in enumerate(fh):
             text = line.strip()
@@ -290,7 +294,7 @@ def read_series_csv(path) -> list[float]:
             try:
                 values.append(float(text))
             except ValueError:
-                if i == 0:
-                    continue
-                raise ValueError(f"line {i + 1} of {path} is not a number: {text!r}") from None
+                if not first:
+                    raise ValueError(f"line {i + 1} of {path} is not a number: {text!r}") from None
+            first = False
     return values

@@ -1,8 +1,8 @@
 """Decimal text encoding of integer arrays and atomic file writes.
 
 Every writer of the package goes through `write_chunks`. Every ASCII integer
-grid it writes is spelled by `ascii_rows` (PBM/PGM pixels) or `csv_rows` (CSV
-tables, cell and note lists), and one encoder decides the bytes of both.
+grid it writes (PBM/PGM pixels, CSV tables, cell and note lists) is spelled by
+`ascii_rows`, a block of whole rows at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-# values encoded per block: a few MB of buffers, which each block after the
-# first gets back from the heap instead of faulting them in again
+# values encoded per block, in whole rows (one row if wider): a few MB of buffers,
+# which each block after the first reuses from the heap instead of faulting in anew
 BLOCK_VALUES = 1 << 16
 # maxima below this are spelled once into a lookup table, then gathered
 _TABLE_LIMIT = 1 << 16
@@ -38,33 +38,17 @@ def _spell(values: np.ndarray, width: int, fill: int = 0) -> np.ndarray:
     return out
 
 
-def ascii_rows(values: np.ndarray, sep: str) -> Iterable[bytes]:
-    """The lines of a 2D array of integers in [0, 2**63 - 1] as blocks of ASCII bytes.
+def ascii_rows(count: int, cols: int, top: int, block, sep: str) -> Iterable[bytes]:
+    """Yield the ASCII lines of `count` rows of `cols` integers in [0, top], a block of whole
+    rows at a time: block(rows) builds the slice `rows` of them, BLOCK_VALUES values or one row.
 
-    Each row's decimal values are joined by `sep` and the row ends with a
-    newline; a row of no values is an empty line. Blocks hold BLOCK_VALUES
-    values, so a block may end in the middle of a row. Nothing tests the values
-    here: RasterImage, CellSet and Notes check theirs, CvTable and arange compute theirs.
+    Each row's decimal values are joined by `sep` and end with a newline; a row of no values
+    is an empty line. Nothing tests the values here, and top < 2**63: RasterImage, CellSet
+    and Notes check theirs, CvTable and arange compute theirs.
     """
-    values = np.ascontiguousarray(values)
-    rows, cols = values.shape
-    if not values.size:
-        return [b"\n" * rows]
-    flat = values.reshape(-1)
-    chunks = (flat[start : start + BLOCK_VALUES] for start in range(0, flat.size, BLOCK_VALUES))
-    return _spelled(chunks, int(flat.max()), cols, sep)
-
-
-def csv_rows(count: int, cols: int, top: int, block) -> Iterable[bytes]:
-    """Yield the CSV lines of `count` rows of `cols` integers in [0, top], a block at a time:
-    block(rows) builds the slice `rows` of them, BLOCK_VALUES values or one row at most."""
-    step = max(1, BLOCK_VALUES // cols)
-    chunks = (block(slice(start, start + step)).reshape(-1) for start in range(0, count, step))
-    return _spelled(chunks, top, cols, ",")
-
-
-def _spelled(chunks: Iterable[np.ndarray], top: int, cols: int, sep: str) -> Iterable[bytes]:
-    """The bytes of consecutive flat chunks of rows of `cols` integers in [0, top]."""
+    if not cols:
+        yield b"\n" * count
+        return
     ndig = len(str(top))
     wide = top >= _TABLE_LIMIT
     if not wide:
@@ -89,8 +73,9 @@ def _spelled(chunks: Iterable[np.ndarray], top: int, cols: int, sep: str) -> Ite
         upper[0] = 0  # a zero above the leading group spells nothing
         # groups are split in 32-bit arithmetic when every value fits it
         unsigned = np.uint32 if top < 2**32 else np.uint64
-    start = 0
-    for chunk in chunks:
+    step = max(1, BLOCK_VALUES // cols)
+    for start in range(0, count, step):
+        chunk = block(slice(start, start + step)).reshape(-1)
         if width == 2:
             # an add per value costs a fraction of a gather
             buf = chunk.astype("<u2")
@@ -112,8 +97,7 @@ def _spelled(chunks: Iterable[np.ndarray], top: int, cols: int, sep: str) -> Ite
                 words[:, col] = np.take(upper if col < groups - 1 else lowest, slot)
                 rest = high
             buf = words.view(np.uint8)
-        buf[(cols - 1 - start) % cols :: cols, -1] = ord("\n")
-        start += chunk.size
+        buf[cols - 1 :: cols, -1] = ord("\n")
         out = buf.tobytes()
         # one-digit values fill every byte; otherwise drop the 0 padding
         yield out if width == 2 else out.translate(None, b"\0")

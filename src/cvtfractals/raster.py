@@ -74,11 +74,12 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
 
 
 def _pnm_chunks(image: RasterImage):
+    top = 1 if image.mode == BILEVEL else 255
     if image.mode == BILEVEL:
         yield f"P1\n{image.width} {image.height}\n".encode("ascii")
     else:
         yield f"P2\n{image.width} {image.height}\n255\n".encode("ascii")
-    yield from ascii_rows(image.pixels, " ")
+    yield from ascii_rows(image.height, image.width, top, lambda rows: image.pixels[rows], " ")
 
 
 def write_pnm(image: RasterImage, path) -> None:

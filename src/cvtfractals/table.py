@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SizeLimitError, _check_base, _check_int, _int_array
-from .output import ascii_rows, csv_rows, write_chunks
+from .output import ascii_rows, write_chunks
 
 MAX_TABLE_EXTENT = 4096
 MAX_SPARSE_EXTENT = 1 << 20
@@ -229,13 +229,14 @@ def write_table_csv(table: CvTable, path) -> None:
     The top-left corner cell is left empty; body cells are decimal carry values.
     """
     index, values = np.arange(table.extent), table.values
-    body = csv_rows(table.extent, table.extent + 1, max(table.extent - 1, int(values.max())),
-                    lambda rows: np.column_stack((index[rows], values[rows])))
-    write_chunks(path, itertools.chain([b","], ascii_rows(index[None, :], ","), body))
+    header = ascii_rows(1, table.extent, table.extent - 1, lambda rows: index, ",")
+    body = ascii_rows(table.extent, table.extent + 1, max(table.extent - 1, int(values.max())),
+                      lambda rows: np.column_stack((index[rows], values[rows])), ",")
+    write_chunks(path, itertools.chain([b","], header, body))
 
 
 def write_cells_csv(cells: CellSet, path) -> None:
     """One "row,col" line per cell, in the set's sorted order."""
     keys, extent = cells.keys, cells.extent
-    write_chunks(path, csv_rows(keys.size, 2, extent - 1,
-                                lambda rows: np.column_stack(np.divmod(keys[rows], extent))))
+    write_chunks(path, ascii_rows(keys.size, 2, extent - 1,
+                                  lambda rows: np.column_stack(np.divmod(keys[rows], extent)), ","))

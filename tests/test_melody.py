@@ -340,7 +340,8 @@ class TestSpectralExponent:
 class TestWriteMidi:
     def test_events_are_built_in_narrow_words(self, tmp_path):
         # 88,574 notes, 2.1 MB of columns: the event ticks fit 32 bits and every delta one
-        # VLQ byte, so each event is a 32-bit word; int64 ticks and words took 4.08 x
+        # VLQ byte, so each event is a 32-bit word; int64 ticks and words took 4.08 x, and
+        # keeping the note-offs' permutation through the merge sort 2.55 x
         notes = cells_to_notes(zero_carry_set(2, 11))
         columns = notes.onset.nbytes + notes.duration.nbytes + notes.pitch.nbytes
         tracemalloc.start()
@@ -349,7 +350,7 @@ class TestWriteMidi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * columns
+        assert peak <= 2.3 * columns
 
     def test_empty_notes(self, tmp_path):
         path = tmp_path / "empty.mid"
@@ -475,6 +476,18 @@ class TestReadSeriesCsv:
         path = tmp_path / "series.csv"
         path.write_text("value\n1\n2\n")
         assert read_series_csv(path) == [1.0, 2.0]
+
+    def test_header_after_blank_lines(self, tmp_path):
+        # the header was allowed on the file's first line only, blank or not
+        path = tmp_path / "series.csv"
+        path.write_text("\n  \nvalue\n1\n\n2\n")
+        assert read_series_csv(path) == [1.0, 2.0]
+
+    def test_second_header_is_refused(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("\nvalue\nunits\n1\n")
+        with pytest.raises(ValueError, match="line 3 of .* is not a number: 'units'"):
+            read_series_csv(path)
 
     def test_garbage_mid_file(self, tmp_path):
         path = tmp_path / "series.csv"

@@ -55,6 +55,12 @@ def blocks_around(draw, count, cols):
     return draw(st.integers(1 if rows == 1 else rows * cols, rows * cols + cols - 1))
 
 
+def spelled(values, sep):
+    """ascii_rows' bytes of a 2D array of integers, bounded by its largest value."""
+    rows, cols = values.shape
+    return b"".join(ascii_rows(rows, cols, int(values.max(initial=0)), lambda r: values[r], sep))
+
+
 def traced_peak(write) -> int:
     """The most memory that tracemalloc sees allocated at once during write()."""
     tracemalloc.start()
@@ -190,7 +196,7 @@ class TestAsciiRows:
         old = output._TABLE_LIMIT
         output._TABLE_LIMIT = table_limit
         try:
-            got = b"".join(ascii_rows(values, sep))
+            got = spelled(values, sep)
         finally:
             output._TABLE_LIMIT = old
         assert got == "".join(sep.join(map(str, row)) + "\n" for row in values.tolist()).encode()
@@ -208,21 +214,18 @@ class TestAsciiRows:
     )
     def test_one_digit_values_match_join(self, values, sep, block, transpose):
         # one-digit arrays are spelled by one 16-bit add per value, not gathered;
-        # blocks of 1, 3 and 7 values end mid-row, and a transpose is not contiguous
+        # blocks of 1, 3 and 7 values hold one row or a few, and a transpose is not
+        # contiguous, so each block of its rows is copied
         if transpose:
             values = values.T
-        old = output.BLOCK_VALUES
-        output.BLOCK_VALUES = block
-        try:
-            got = b"".join(ascii_rows(values, sep))
-        finally:
-            output.BLOCK_VALUES = old
+        with block_values(block):
+            got = spelled(values, sep)
         assert got == "".join(sep.join(map(str, row)) + "\n" for row in values.tolist()).encode()
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
     def test_block_boundaries(self, block, monkeypatch, tmp_path):
-        # with 7 columns most of these block sizes end a block mid-row;
-        # _TABLE_LIMIT = 0 sends every array down the digit-group path
+        # with 7 columns a block holds one row up to 13 values and block // 7 rows from
+        # 14 on; _TABLE_LIMIT = 0 sends every array down the digit-group path
         monkeypatch.setattr(output, "BLOCK_VALUES", block)
         for table_limit in (0, output._TABLE_LIMIT):
             monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
@@ -235,10 +238,26 @@ class TestAsciiRows:
             tab = build_table(3, 2)
             write_table_csv(tab, tmp_path / "t.csv")
             assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
-            assert len(list(ascii_rows(gray, " "))) == -(-gray.size // block)
+            blocks = list(_pnm_chunks(RasterImage(gray, "gray")))[1:]
+            assert len(blocks) == -(-5 // max(1, block // 7))
             wide = rng.integers(0, 10**13, size=(4, 7))
             expected = "".join(",".join(map(str, row)) + "\n" for row in wide.tolist())
-            assert b"".join(ascii_rows(wide, ",")) == expected.encode()
+            assert spelled(wide, ",") == expected.encode()
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    @pytest.mark.parametrize("mode", ["bilevel", "gray"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_blocks_are_whole_rows(self, block, mode, transpose, monkeypatch):
+        # each body block of a 7-wide image of 84 pixels ends a row, and holds BLOCK_VALUES
+        # values or one row if that is wider: values and their separators or newlines pair up
+        monkeypatch.setattr(output, "BLOCK_VALUES", block)
+        pixels = np.random.default_rng(block).integers(0, 2 if mode == "bilevel" else 256, (7, 12))
+        image = RasterImage(pixels.T if transpose else np.ascontiguousarray(pixels.T), mode)
+        head, *body = _pnm_chunks(image)
+        assert b"".join(body) == pnm_bytes(image.pixels, mode)[len(head):]
+        for chunk in body:
+            assert chunk.endswith(b"\n")
+            assert chunk.count(b" ") + chunk.count(b"\n") <= max(block, image.width)
 
     @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
     @pytest.mark.parametrize("sep", [" ", ","])
@@ -251,7 +270,7 @@ class TestAsciiRows:
         values = np.array([edges, [0, 1, 9, 10, 99, 100, 2**63 - 1, 2**16, 2**16 - 1, 7, 0, 5],
                            three_digit_edges])
         expected = "".join(sep.join(map(str, row)) + "\n" for row in values.tolist())
-        assert b"".join(ascii_rows(values, sep)) == expected.encode()
+        assert spelled(values, sep) == expected.encode()
 
     @pytest.mark.parametrize("table_limit", [0, output._TABLE_LIMIT])
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
@@ -260,7 +279,7 @@ class TestAsciiRows:
         top = np.iinfo(dtype).max
         values = np.array([[0, top, 1], [top // 3, 10, top - 1]], dtype=dtype)
         expected = "".join(",".join(map(str, row)) + "\n" for row in values.tolist())
-        assert b"".join(ascii_rows(values, ",")) == expected.encode()
+        assert spelled(values, ",") == expected.encode()
 
 
 def failing_chunks():
@@ -376,7 +395,8 @@ class TestWriteChunks:
     def test_failed_pnm_keeps_old_image(self, tmp_path, monkeypatch):
         path = tmp_path / "img.pbm"
         path.write_bytes(b"old image")
-        monkeypatch.setattr(raster, "ascii_rows", lambda values, sep: failing_chunks())
+        monkeypatch.setattr(raster, "ascii_rows",
+                            lambda count, cols, top, block, sep: failing_chunks())
         with pytest.raises(RuntimeError):
             raster.write_pnm(RasterImage(np.ones((2, 2), dtype=np.uint8), "bilevel"), path)
         assert path.read_bytes() == b"old image"
