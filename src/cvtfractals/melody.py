@@ -45,6 +45,9 @@ MIN_SPECTRUM_LENGTH = 32
 _FLAT_SPECTRUM_SPREAD = 1e-9
 # the largest delta time a Standard MIDI File can encode: four VLQ bytes of 7 bits
 MAX_DELTA = 2**28 - 1
+# write_midi's event keys hold a tick above 8 bits of note-on flag and pitch, so
+# its 64-bit keys hold ticks below this
+_KEY_TICKS = 2**56
 # the tempos a set-tempo event holds exactly: 60e6 / 4 is the slowest that fits
 # its 24 bits, and above 7812 bpm two tempos round to the same microseconds
 MIN_TEMPO = 4
@@ -218,25 +221,53 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     MIDI encoding, and a tempo outside [MIN_TEMPO, MAX_TEMPO] does not read
     back as itself; both are refused before anything is written.
 
-    Notes are sorted by (onset, pitch), so the note-ons are in event order
-    already and only the note-offs are sorted, by (end, pitch), with ticks in
-    the narrowest type that holds the last note end. The two runs are then
-    merged by tick with a stable sort, note-offs listed first: stability is
-    what puts every note-off before every note-on of its tick and keeps each
-    run's pitch order. Every delta gets as many VLQ bytes as the longest one
-    needs; when that is one, each event is a 32-bit word and no byte is dropped.
+    Each event is one key, tick << 8 | is_on << 7 | pitch, and one sort of the
+    keys by value puts them in that order; equal keys are equal events, so the
+    bytes do not depend on the sort's stability. The keys are 32-bit when every
+    tick is below 2**24 (notes are sorted by onset, so none ends after the last
+    onset plus the longest duration), else 64-bit. A tick from 2**56 on leaves
+    a 64-bit key no room: then a lexsort orders the ticks and low bytes instead.
+    Below 2**27 notes only a delta above MAX_DELTA reaches such a tick. Every
+    delta gets as many VLQ bytes as the longest one needs; when that is one,
+    each event is a 32-bit word and no byte is dropped.
     """
     tempo_bpm = _check_int("tempo_bpm", tempo_bpm, MIN_TEMPO, MAX_TEMPO)
     micros_per_quarter = round(60_000_000 / tempo_bpm)
-    end = notes.onset + notes.duration
-    end = end.astype(np.min_scalar_type(int(end.max(initial=0))))
-    pitch = notes.pitch.astype(np.uint8)
-    off = np.lexsort((pitch, end))
-    delta = np.concatenate((end[off], notes.onset), dtype=end.dtype, casting="unsafe")
-    pitch = np.concatenate((pitch[off], pitch))  # each event's pitch, in delta's order
-    del off, end  # freed before the merge sort allocates its permutation
-    order = np.argsort(delta, kind="stable")
-    delta = delta[order]
+    n = len(notes)
+    last = int(notes.onset[-1]) + int(notes.duration.max()) if n else 0
+    if last < _KEY_TICKS:
+        keys = np.empty(2 * n, np.uint32 if last < 2**24 else np.uint64)
+        on, off = keys[:n], keys[n:]
+        np.copyto(on, notes.onset, casting="unsafe")
+        np.add(notes.onset, notes.duration, out=off, casting="unsafe")
+        keys <<= 8
+        pitch = notes.pitch.astype(keys.dtype)
+        on |= pitch
+        on |= 0x80
+        off |= pitch
+        del pitch  # freed before the words are built
+        keys.sort()
+        low = keys & 0xFF
+        tick = keys
+        tick >>= 8
+    else:
+        # the keys would wrap: a lexsort orders the ticks and low bytes themselves
+        tick = np.concatenate((notes.onset, notes.onset + notes.duration))
+        low = np.concatenate((notes.pitch | 0x80, notes.pitch))
+        order = np.lexsort((low, tick))
+        tick, low = tick[order], low[order]
+        del order
+    # each event's status, pitch and velocity bytes from its low byte: a note-off's
+    # 0x80 and _NOTE_OFF_VELOCITY, or a note-on's 0x90 and VELOCITY
+    off_word, on_word = 0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY
+    word = low >> 7
+    word *= on_word - off_word
+    word += off_word
+    low &= 0x7F
+    low <<= 8
+    word |= low
+    del low
+    delta = tick
     delta[1:] -= delta[:-1]  # numpy reads an overlapping operand as it was before the write
     longest = int(delta.max(initial=0))
     if longest > MAX_DELTA:
@@ -247,20 +278,25 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     vlq_bytes = max(1, -(-longest.bit_length() // 7))
     size = 4 if vlq_bytes == 1 else 8
     delta = delta.astype(f"u{size}", copy=False)
-    word = pitch[order].astype(delta.dtype) << 8
-    # order indexes the note-offs first, then the note-ons
-    status = np.array([0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY], word.dtype)
-    word |= np.where(order < len(notes), *status)
-    word |= (delta & 0x7F) << 24
-    for k in range(1, vlq_bytes):
-        word |= (delta >> 7 * k & 0x7F | 0x80) << 8 * k + 24
-    body = word.astype(f">u{size}").view(np.uint8).reshape(-1, size)[:, size - 3 - vlq_bytes:]
+    word = word.astype(delta.dtype, copy=False)
+    for k in range(vlq_bytes):
+        # one temporary at a time, the size of the words
+        part = delta >> 7 * k
+        part &= 0x7F
+        if k:
+            part |= 0x80
+        part <<= 8 * k + 24
+        word |= part
+    del part
+    word.byteswap(inplace=True)  # big-endian
+    body = word.view(np.uint8).reshape(-1, size)[:, size - 3 - vlq_bytes:]
     if vlq_bytes > 1:
         # leading VLQ bytes with no bits are dropped
         keep = np.ones(body.shape, dtype=bool)
         for k in range(1, vlq_bytes):
             keep[:, vlq_bytes - 1 - k] = delta >> 7 * k > 0
         body = body[keep]
+    del delta  # freed before the body's bytes are copied out
     tempo = b"\x00\xff\x51\x03" + micros_per_quarter.to_bytes(3, "big")
     end_of_track = b"\x00\xff\x2f\x00"
     track_size = len(tempo) + body.size + len(end_of_track)
@@ -276,8 +312,8 @@ def write_notes_csv(notes: Notes, path) -> None:
     The velocity column holds VELOCITY, the velocity write_midi gives every note.
     """
     columns = (notes.onset, notes.duration, notes.pitch, np.broadcast_to(VELOCITY, len(notes)))
-    top = max(int(col.max(initial=0)) for col in columns)
-    body = ascii_rows(len(notes), 4, top,
+    tops = [int(col.max(initial=0)) for col in columns]
+    body = ascii_rows(len(notes), 4, tops,
                       lambda rows: np.column_stack([c[rows] for c in columns]), ",")
     write_chunks(path, chain([b"onset,duration,pitch,velocity\n"], body))
 

@@ -38,69 +38,81 @@ def _spell(values: np.ndarray, width: int, fill: int = 0) -> np.ndarray:
     return out
 
 
-def ascii_rows(count: int, cols: int, top: int, block, sep: str) -> Iterable[bytes]:
+def ascii_rows(count: int, cols: int, top, block, sep: str) -> Iterable[bytes]:
     """Yield the ASCII lines of `count` rows of `cols` integers in [0, top], a block of whole
     rows at a time: block(rows) builds the slice `rows` of them, BLOCK_VALUES values or one row.
 
     Each row's decimal values are joined by `sep` and end with a newline; a row of no values
-    is an empty line. Nothing tests the values here, and top < 2**63: RasterImage, CellSet
-    and Notes check theirs, CvTable and arange compute theirs.
+    is an empty line. top bounds every value, or is a sequence of one bound per column: a
+    grid whose largest bound is below _TABLE_LIMIT is spelled for that bound, and a wider
+    one in three-digit groups, each column in as many as its own bound needs. Nothing tests
+    the values here, and every bound is below 2**63: RasterImage, CellSet and Notes check
+    theirs, CvTable and arange compute theirs.
     """
     if not cols:
         yield b"\n" * count
         return
-    ndig = len(str(top))
-    wide = top >= _TABLE_LIMIT
+    tops = [top] if np.ndim(top) == 0 else list(top)
+    bound = max(tops)
+    ndig = len(str(bound))
+    wide = bound >= _TABLE_LIMIT
     if not wide:
         # a value and its separator, in a power-of-two width, gather as one machine word
         width = 1 << ndig.bit_length()
-        spelled = np.full((top + 1, width), ord(sep), dtype=np.uint8)
-        spelled[:, :-1] = _spell(np.arange(top + 1), width - 1)
+        row = cols * width
+        spelled = np.full((bound + 1, width), ord(sep), dtype=np.uint8)
+        spelled[:, :-1] = _spell(np.arange(bound + 1), width - 1)
         table = spelled.view(f"u{width}").reshape(-1)
         # a digit and its separator are one little-endian 16-bit word, digit byte first
         digit_word = ord(sep) << 8 | ord("0")
     else:
         # a value is groups of three digits, each in a 4-byte word whose last byte is
         # the separator in the lowest group and padding above it: index g holds g
-        # bare, _GROUP + g holds g zero-padded
-        groups = -(-ndig // 3)
-        width = 4 * groups
+        # bare, _GROUP + g holds g zero-padded; one bound for every value spells the
+        # grid as one column
+        groups = [-(-len(str(t)) // 3) for t in tops]
+        row = 4 * sum(groups) * cols // len(tops)
         index = np.arange(_GROUP)
         spelled = np.concatenate((_spell(index, 3), _spell(index, 3, ord("0"))))
         lowest = np.column_stack((spelled, np.full(2 * _GROUP, ord(sep), np.uint8)))
         upper = np.column_stack((np.zeros(2 * _GROUP, np.uint8), spelled))
         lowest, upper = lowest.view("u4")[:, 0], upper.view("u4")[:, 0]
         upper[0] = 0  # a zero above the leading group spells nothing
-        # groups are split in 32-bit arithmetic when every value fits it
-        unsigned = np.uint32 if top < 2**32 else np.uint64
     step = max(1, BLOCK_VALUES // cols)
     for start in range(0, count, step):
-        chunk = block(slice(start, start + step)).reshape(-1)
-        if width == 2:
+        chunk = block(slice(start, start + step))
+        if wide:
+            chunk = chunk.reshape(-1, len(tops))
+            words = np.empty((chunk.shape[0], sum(groups)), dtype=np.uint32)
+            first = 0
+            for col, (col_top, n) in enumerate(zip(tops, groups)):
+                # groups are split in 32-bit arithmetic when the column's bound fits it
+                rest = chunk[:, col].astype(np.uint32 if col_top < 2**32 else np.uint64)
+                for g in range(n - 1, 0, -1):
+                    high = rest // _GROUP
+                    # bare below _GROUP, else the low group padded: _GROUP + rest % _GROUP;
+                    # in place, as fresh temporaries cost more than the arithmetic
+                    slot = high * _GROUP
+                    np.subtract(rest, slot, out=slot)
+                    slot += _GROUP
+                    np.minimum(slot, rest, out=slot)
+                    words[:, first + g] = np.take(upper if g < n - 1 else lowest, slot)
+                    rest = high
+                # the leading group is below _GROUP: its own index, with no division
+                words[:, first] = np.take(upper if n > 1 else lowest, rest)
+                first += n
+            buf = words.view(np.uint8).reshape(-1)
+        elif ndig == 1:
             # an add per value costs a fraction of a gather
-            buf = chunk.astype("<u2")
+            buf = chunk.reshape(-1).astype("<u2")
             buf += digit_word
-            buf = buf.view(np.uint8).reshape(-1, width)
-        elif not wide:
-            buf = np.take(table, chunk).view(np.uint8).reshape(-1, width)
+            buf = buf.view(np.uint8)
         else:
-            words = np.empty((chunk.size, groups), dtype=np.uint32)
-            rest = chunk.astype(unsigned)
-            for col in range(groups - 1, -1, -1):
-                high = rest // _GROUP
-                # bare below _GROUP, else the low group padded: _GROUP + rest % _GROUP;
-                # in place, as fresh temporaries cost more than the arithmetic
-                slot = high * _GROUP
-                np.subtract(rest, slot, out=slot)
-                slot += _GROUP
-                np.minimum(slot, rest, out=slot)
-                words[:, col] = np.take(upper if col < groups - 1 else lowest, slot)
-                rest = high
-            buf = words.view(np.uint8)
-        buf[cols - 1 :: cols, -1] = ord("\n")
+            buf = np.take(table, chunk.reshape(-1)).view(np.uint8)
+        buf[row - 1 :: row] = ord("\n")
         out = buf.tobytes()
         # one-digit values fill every byte; otherwise drop the 0 padding
-        yield out if width == 2 else out.translate(None, b"\0")
+        yield out if ndig == 1 and not wide else out.translate(None, b"\0")
 
 
 def write_chunks(path, chunks: Iterable[bytes]) -> None:

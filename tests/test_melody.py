@@ -21,6 +21,7 @@ from cvtfractals import (
     write_notes_csv,
     zero_carry_set,
 )
+from cvtfractals import melody
 from cvtfractals.melody import MAX_DELTA, MAX_TEMPO, MIN_TEMPO
 from helpers import (
     _smf_vlq,
@@ -339,9 +340,10 @@ class TestSpectralExponent:
 
 class TestWriteMidi:
     def test_events_are_built_in_narrow_words(self, tmp_path):
-        # 88,574 notes, 2.1 MB of columns: the event ticks fit 32 bits and every delta one
-        # VLQ byte, so each event is a 32-bit word; int64 ticks and words took 4.08 x, and
-        # keeping the note-offs' permutation through the merge sort 2.55 x
+        # 88,574 notes, 2.1 MB of columns: the event ticks fit 32-bit keys, sorted in place,
+        # and every delta one VLQ byte, so each event is a 32-bit word; at most the keys,
+        # the words and one temporary of their size live at once: 1.00 x. int64 ticks and
+        # words took 4.08 x, and a merge sort's permutation beside the ticks 2.09 to 2.55 x
         notes = cells_to_notes(zero_carry_set(2, 11))
         columns = notes.onset.nbytes + notes.duration.nbytes + notes.pitch.nbytes
         tracemalloc.start()
@@ -350,7 +352,7 @@ class TestWriteMidi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * columns
+        assert peak <= 1.1 * columns
 
     def test_empty_notes(self, tmp_path):
         path = tmp_path / "empty.mid"
@@ -666,6 +668,53 @@ class TestColumnarOracles:
         with pytest.raises(ValueError, match="exceeds the MIDI limit"):
             write_midi(make_notes(*rows), tempo_bpm=120, path=path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("last_end", [2**24 - 1, 2**24])
+    def test_key_width_matches_reference(self, tmp_path, last_end):
+        # the latest onsets hold the longest notes, so their end is the bound that picks
+        # 32-bit event keys (every tick below 2**24) or 64-bit ones; a note-off and a
+        # note-on of pitch 127, which sets every low key bit, meet at the last onset
+        longest = 2**23
+        start = last_end - longest
+        rows = [(0, 5, 60), (0, 5, 0), (start - 2, 2, 127), (start, longest, 127),
+                (start, 3, 64), (start, longest, 0)]
+        notes = make_notes(*rows)
+        assert int(notes.onset[-1]) + int(notes.duration.max()) == last_end
+        path = tmp_path / "k.mid"
+        write_midi(notes, tempo_bpm=120, path=path)
+        assert path.read_bytes() == reference_midi(rows, 480, 120)
+
+    @pytest.mark.parametrize("rows,longest", [
+        ([(2**56, 1, 60)], 2**56),
+        ([(0, 1, 60), (2**56, 5, 61)], 2**56 - 1),
+        ([(2**56 - 1, 2, 60)], 2**56 - 1),
+        ([(0, 2**56 - 1, 60), (2**56 - 10, 1, 61)], 2**56 - 10),
+        ([(2**62 - 1, 2**62 - 1, 127)], 2**62 - 1),
+    ])
+    def test_ticks_past_64_bit_keys_name_the_longest_delta(self, tmp_path, rows, longest):
+        # ticks from 2**56 on do not fit a 64-bit key above its 8 bits of flag and pitch;
+        # the refusal names the exact longest delta all the same, and nothing wraps
+        path = tmp_path / "w.mid"
+        with pytest.raises(ValueError, match=f"^delta time {longest} exceeds the MIDI limit"):
+            write_midi(make_notes(*rows), tempo_bpm=120, path=path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [
+        # deltas within MAX_DELTA reach the limit: 2**27 notes or more do at 2**56
+        [(k * MAX_DELTA, 1, 60 + k) for k in range(6)],
+        # one note-off and one note-on of a pitch meet at each tick past the limit
+        [(0, 5, 60), (0, MAX_DELTA, 0)] + [(k * MAX_DELTA, MAX_DELTA, 127) for k in (1, 2, 3)]
+        + [(3 * MAX_DELTA, 9, 0), (4 * MAX_DELTA, 9, 127), (4 * MAX_DELTA, 9, 0)],
+        # the last onset plus the longest duration passes the limit, no tick does
+        [(0, MAX_DELTA, 60)] + [(k * MAX_DELTA, 1, 61) for k in range(1, 5)],
+    ])
+    def test_ticks_past_the_key_limit_match_reference(self, tmp_path, monkeypatch, rows):
+        # a lower key limit shows on a few notes what 2**27 of them need for 2**56
+        monkeypatch.setattr(melody, "_KEY_TICKS", 2**30)
+        assert max(onset for onset, _, _ in rows) + max(d for _, d, _ in rows) >= 2**30
+        path = tmp_path / "w.mid"
+        write_midi(make_notes(*rows), tempo_bpm=120, path=path)
+        assert path.read_bytes() == reference_midi(rows, 480, 120)
 
     @given(note_rows_st())
     @settings(max_examples=60, deadline=None)

@@ -55,6 +55,24 @@ def blocks_around(draw, count, cols):
     return draw(st.integers(1 if rows == 1 else rows * cols, rows * cols + cols - 1))
 
 
+# column maxima on each side of the three-digit group, lookup-table, six-digit group
+# and 32-bit arithmetic edges, and the largest value the encoder takes
+COLUMN_TOPS = [0, 9, 999, 1000, 65_535, 65_536, 10**6 - 1, 10**6, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+@st.composite
+def columns_with_tops(draw):
+    """(values, tops): 1 to 8 rows of 1 to 6 int64 columns, each column's largest value
+    its drawn top, so narrow and wide columns mix in one grid."""
+    tops = draw(st.lists(st.sampled_from(COLUMN_TOPS) | st.integers(0, 2**63 - 1),
+                         min_size=1, max_size=6))
+    rows = draw(st.integers(1, 8))
+    values = np.array([[draw(st.sampled_from([0, top]) | st.integers(0, top)) for top in tops]
+                       for _ in range(rows)], dtype=np.int64)
+    values[[draw(st.integers(0, rows - 1)) for _ in tops], range(len(tops))] = tops
+    return values, tops
+
+
 def spelled(values, sep):
     """ascii_rows' bytes of a 2D array of integers, bounded by its largest value."""
     rows, cols = values.shape
@@ -221,6 +239,19 @@ class TestAsciiRows:
         with block_values(block):
             got = spelled(values, sep)
         assert got == "".join(sep.join(map(str, row)) + "\n" for row in values.tolist()).encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns_with_tops(), st.sampled_from([1, 3, 7, 16, output.BLOCK_VALUES]))
+    def test_per_column_tops_match_oracle(self, drawn, block):
+        # each column of a wide grid is spelled in the digit groups its own top needs,
+        # and one top for every column spells the same bytes
+        values, tops = drawn
+        rows, cols = values.shape
+        expected = csv_bytes(values.tolist())
+        with block_values(block):
+            for top in (tops, max(tops)):
+                got = b"".join(ascii_rows(rows, cols, top, lambda r: values[r], ","))
+                assert got == expected
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
     def test_block_boundaries(self, block, monkeypatch, tmp_path):
