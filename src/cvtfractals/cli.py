@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -37,6 +38,8 @@ _base_arg = _int_arg(2)
 _nonneg_arg = _int_arg(0)
 _pos_arg = _int_arg(1)
 COMMANDS = ("cvt", "table", "fractal", "dimension", "target-base", "overlay", "music", "spectrum")
+# the options naming a file a subcommand writes, in the order its parser adds them
+OUTPUTS = ("pbm", "cells", "report", "midi", "csv", "pgm")
 
 
 def _write(path, write) -> None:
@@ -44,6 +47,24 @@ def _write(path, write) -> None:
     if path is not None:  # an empty path is given too, and fails in write
         write(path)
         print(f"wrote {path}")
+
+
+def _same_output(args) -> str | None:
+    """A refusal when two output options of args name one file that write_chunks would
+    replace, a missing or regular one: the second write would replace the first's file."""
+    paths = {dest: getattr(args, dest, None) or "" for dest in OUTPUTS}
+    # an option not given, or a path naming no file, which write_chunks refuses, is left out;
+    # one path alone cannot clash, and costs no file system call
+    given = [(dest, path) for dest, path in paths.items() if os.path.basename(path)]
+    named = {}
+    for dest, path in given if len(given) > 1 else ():
+        real = os.path.realpath(path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            continue  # a FIFO or device takes every write
+        if real in named:
+            return f"--{named[real]} and --{dest} name the same file {real}"
+        named[real] = dest
+    return None
 
 
 def _cmd_cvt(args) -> int:
@@ -250,6 +271,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if clash := _same_output(args):
+        print(f"error: {clash}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (CvtError, ValueError, OSError) as exc:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import operator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CvtError(Exception):
@@ -69,6 +71,8 @@ def _int_array(name: str, values, ndim: int,
     Without bounds only the shape and dtype are tested, for a caller that
     tests the ends of a sorted copy instead of paying a min and a max pass.
     """
+    import numpy as np  # here alone, so radix and the integer checks load without numpy
+
     values = np.asarray(values)
     if values.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {values.shape}")

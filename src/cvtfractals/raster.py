@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import SizeLimitError, _check_int, _int_array
 from .output import ascii_rows, write_chunks
-from .table import CellSet, CvTable
+from .table import CellSet, CvTable, _Fresh
 
 MAX_SIDE = 1 << 14
 
@@ -18,7 +18,11 @@ GRAY = "gray"
 
 @dataclass(frozen=True, eq=False)
 class RasterImage:
-    """Row-major integer pixel grid; bilevel pixels are 0/1, gray pixels 0..255."""
+    """Row-major integer pixel grid; bilevel pixels are 0/1, gray pixels 0..255.
+
+    `pixels` is a read-only copy of the array or rows of integers given, so no
+    later write through the caller's array or its base can change the image.
+    """
 
     pixels: np.ndarray
     mode: str
@@ -26,8 +30,10 @@ class RasterImage:
     def __post_init__(self) -> None:
         if self.mode not in (BILEVEL, GRAY):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _int_array("pixels", self.pixels, 2, 0, 1 if self.mode == BILEVEL else 255)
-        self.pixels.setflags(write=False)
+        pixels = self.pixels.array if isinstance(self.pixels, _Fresh) else np.array(self.pixels)
+        _int_array("pixels", pixels, 2, 0, 1 if self.mode == BILEVEL else 255)
+        pixels.setflags(write=False)
+        object.__setattr__(self, "pixels", pixels)
 
     @property
     def height(self) -> int:
@@ -56,7 +62,7 @@ def render_cellset(cells: CellSet, zoom: int = 1) -> RasterImage:
     zoom = _check_zoom(cells.extent, zoom)
     pixels = np.zeros((cells.extent, cells.extent), dtype=np.uint8)
     pixels.reshape(-1)[cells.keys] = 1  # a key is the cell's row-major pixel index
-    return RasterImage(_zoomed(pixels, zoom), BILEVEL)
+    return RasterImage(_Fresh(_zoomed(pixels, zoom)), BILEVEL)
 
 
 def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
@@ -70,7 +76,7 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     gray = table.values * 510
     gray += max_value
     gray //= 2 * max_value
-    return RasterImage(_zoomed(gray.astype(np.uint8), zoom), GRAY)
+    return RasterImage(_Fresh(_zoomed(gray.astype(np.uint8), zoom)), GRAY)
 
 
 def _pnm_chunks(image: RasterImage):

@@ -58,10 +58,11 @@ class CvTable:
 
 
 class _Fresh:
-    """Sorted int64 keys built for one CellSet and held by nothing else: adopted, not copied."""
+    """An array built for one CellSet (its sorted int64 keys) or one RasterImage (its
+    pixels) and held by nothing else: adopted, not copied."""
 
-    def __init__(self, keys: np.ndarray) -> None:  # no dataclass: it costs ~0.8 ms per import
-        self.keys = keys
+    def __init__(self, array: np.ndarray) -> None:  # no dataclass: it costs ~0.8 ms per import
+        self.array = array
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -88,7 +89,7 @@ class CellSet:
             # no dtype: forcing int64 here would truncate float keys instead of refusing them
             keys = _int_array("keys", keys if isinstance(keys, np.ndarray) else list(keys), 1)
             keys = _Fresh(keys.astype(np.int64))  # a copy: the caller's array stays as it is
-        keys = keys.keys.astype(np.int64, copy=False)
+        keys = keys.array.astype(np.int64, copy=False)
         # one pass tells sorted and unique; the ends then bound every key, and an unsigned
         # key past int64 turns negative and sorts first
         if not (keys[1:] > keys[:-1]).all():

@@ -452,6 +452,48 @@ def test_empty_output_path_is_an_error(capsys, tmp_path, monkeypatch, argv):
     assert sorted(os.listdir(tmp_path)) == ["work"]
 
 
+# every subcommand that writes two files, with its two output options in parser order
+TWO_OUTPUTS = {
+    "table": (["table", "--base", "2", "--digits", "2"], "--csv", "--pgm"),
+    "fractal": (["fractal", "--base", "2", "--depth", "2"], "--pbm", "--cells"),
+    "overlay": (["overlay", "--small", "3", "--depth", "3"], "--report", "--csv"),
+    "music": (["music", "--base", "2", "--depth", "3"], "--midi", "--csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWO_OUTPUTS))
+@pytest.mark.parametrize("other", ["out", os.path.join(".", "sub", os.pardir, "out")])
+def test_two_outputs_naming_one_file_are_refused(capsys, tmp_path, monkeypatch, command, other):
+    # the second write would replace the first one's file: refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    argv, first, second = TWO_OUTPUTS[command]
+    assert run([*argv, first, "out", second, other]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {first} and {second} name the same file"
+                            f" {os.path.realpath('out')}\n")
+    assert os.listdir(tmp_path) == ["sub"]
+
+
+def test_a_symlink_to_another_output_names_its_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("notes.csv").write_bytes(b"old")
+    os.symlink("notes.csv", "link")
+    assert run(["music", "--base", "2", "--depth", "3", "--midi", "link", "--csv", "notes.csv"]) == 2
+    assert "--midi and --csv name the same file" in capsys.readouterr().err
+    assert Path("notes.csv").read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["link", "notes.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_a_device_may_take_two_outputs(capsys):
+    # nothing is replaced at a device, so both writes reach it
+    assert run(["music", "--base", "2", "--depth", "3",
+                "--midi", os.devnull, "--csv", os.devnull]) == 0
+    assert capsys.readouterr().out.count(f"wrote {os.devnull}") == 2
+
+
 # one valid call per subcommand; each starts with a required flag and its value
 VALID = {
     "cvt": ["--base", "2", "13", "14"],

@@ -17,6 +17,7 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.raster import _pnm_chunks
+from cvtfractals.table import _Fresh
 from helpers import cell_keys, parse_pnm
 
 
@@ -170,6 +171,35 @@ class TestRasterImage:
         image = render_cellset(zero_carry_set(2, 1))
         with pytest.raises(ValueError):
             image.pixels[0, 0] = 0
+
+    def test_callers_array_stays_writable(self):
+        pixels = np.zeros((2, 2), dtype=np.uint8)
+        image = RasterImage(pixels, "bilevel")
+        pixels[0, 0] = 1
+        assert image.pixels.tolist() == [[0, 0], [0, 0]]
+        with pytest.raises(ValueError):
+            image.pixels[0, 0] = 1
+
+    @pytest.mark.parametrize("mode,value,head", [("bilevel", 5, b"P1\n2 2\n"),
+                                                 ("gray", 300, b"P2\n2 2\n255\n")])
+    def test_a_write_through_a_views_base_changes_nothing(self, tmp_path, mode, value, head):
+        # the image holds a copy of the view, so its checked values stay the ones written
+        base = np.zeros((2, 4), dtype=np.uint16)
+        image = RasterImage(base[:, :2], mode)
+        base[0, 0] = value
+        assert image.pixels.tolist() == [[0, 0], [0, 0]]
+        write_pnm(image, tmp_path / "x.pnm")
+        assert (tmp_path / "x.pnm").read_bytes() == head + b"0 0\n0 0\n"
+
+    def test_accepts_a_list_of_rows(self, tmp_path):
+        image = RasterImage([[0, 1], [1, 0]], "bilevel")
+        assert (image.width, image.height) == (2, 2)
+        write_pnm(image, tmp_path / "x.pbm")
+        assert (tmp_path / "x.pbm").read_bytes() == b"P1\n2 2\n0 1\n1 0\n"
+
+    def test_a_rendered_grid_is_adopted_not_copied(self):
+        pixels = np.ones((2, 2), dtype=np.uint8)
+        assert RasterImage(_Fresh(pixels), "gray").pixels is pixels
 
 
 class TestRasterImageValues:
