@@ -97,10 +97,12 @@ def _decimal_digits(n: int) -> int:
 
 def _cmd_table(args) -> int:
     tab = table.build_table(args.base, args.digits)
+    # the image comes before any output, so a zoom its size cap refuses leaves none
+    image = raster.render_table(tab, zoom=args.zoom) if args.pgm is not None else None
     print(f"CV table base {args.base}, {args.digits} digit(s):"
           f" extent {tab.extent}, max carry value {int(tab.values.max())}")
     _write(args.csv, lambda path: table.write_table_csv(tab, path))
-    _write(args.pgm, lambda path: raster.write_pnm(raster.render_table(tab, zoom=args.zoom), path))
+    _write(args.pgm, lambda path: raster.write_pnm(image, path))
     return 0
 
 
@@ -110,10 +112,10 @@ def _cmd_fractal(args) -> int:
         return 2
     value = args.value or 0
     cells = table.carry_value_set(args.base, args.depth, value)
+    image = raster.render_cellset(cells, zoom=args.zoom) if args.pbm is not None else None
     print(f"pattern of carry value {value} in base {args.base}, depth {args.depth}:"
           f" {len(cells)} cells on a {cells.extent}x{cells.extent} grid")
-    _write(args.pbm,
-           lambda path: raster.write_pnm(raster.render_cellset(cells, zoom=args.zoom), path))
+    _write(args.pbm, lambda path: raster.write_pnm(image, path))
     _write(args.cells, lambda path: table.write_cells_csv(cells, path))
     return 0
 

@@ -48,7 +48,8 @@ class DegenerateSeriesError(CvtError, ValueError):
 def _check_int(name: str, value, lo: int, hi: int | None = None, error=ValueError) -> int:
     """value as an int, refused with `error` naming `name` unless it is an integer in [lo, hi]."""
     try:
-        number = operator.index(value)
+        # a bool is refused, as numpy's bools are: True is not the integer 1
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < lo or hi is not None and number > hi:

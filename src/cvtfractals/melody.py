@@ -45,18 +45,15 @@ MIN_SPECTRUM_LENGTH = 32
 _FLAT_SPECTRUM_SPREAD = 1e-9
 # the largest delta time a Standard MIDI File can encode: four VLQ bytes of 7 bits
 MAX_DELTA = 2**28 - 1
-# write_midi's event keys hold a tick above 8 bits of note-on flag and pitch, so
-# its 64-bit keys hold ticks below this
-_KEY_TICKS = 2**56
 # the tempos a set-tempo event holds exactly: 60e6 / 4 is the slowest that fits
 # its 24 bits, and above 7812 bpm two tempos round to the same microseconds
 MIN_TEMPO = 4
 MAX_TEMPO = 7812
-# the range of each Notes column; onsets and durations stay below 2**62, so
-# every note end fits an int64
+# the range of each Notes column; onsets and durations below 2**55 keep every note end
+# below 2**56, so write_midi's 64-bit event keys hold it above 8 bits of flag and pitch
 _COLUMN_BOUNDS = {
-    "onset": (0, 2**62 - 1),
-    "duration": (1, 2**62 - 1),
+    "onset": (0, 2**55 - 1),
+    "duration": (1, 2**55 - 1),
     "pitch": (0, 127),
 }
 
@@ -225,38 +222,27 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     keys by value puts them in that order; equal keys are equal events, so the
     bytes do not depend on the sort's stability. The keys are 32-bit when every
     tick is below 2**24 (notes are sorted by onset, so none ends after the last
-    onset plus the longest duration), else 64-bit. A tick from 2**56 on leaves
-    a 64-bit key no room: then a lexsort orders the ticks and low bytes instead.
-    Below 2**27 notes only a delta above MAX_DELTA reaches such a tick. Every
-    delta gets as many VLQ bytes as the longest one needs; when that is one,
-    each event is a 32-bit word and no byte is dropped.
+    onset plus the longest duration), else 64-bit: Notes bounds every tick
+    below 2**56. Every delta gets as many VLQ bytes as the longest one needs;
+    when that is one, each event is a 32-bit word and no byte is dropped.
     """
     tempo_bpm = _check_int("tempo_bpm", tempo_bpm, MIN_TEMPO, MAX_TEMPO)
     micros_per_quarter = round(60_000_000 / tempo_bpm)
     n = len(notes)
     last = int(notes.onset[-1]) + int(notes.duration.max()) if n else 0
-    if last < _KEY_TICKS:
-        keys = np.empty(2 * n, np.uint32 if last < 2**24 else np.uint64)
-        on, off = keys[:n], keys[n:]
-        np.copyto(on, notes.onset, casting="unsafe")
-        np.add(notes.onset, notes.duration, out=off, casting="unsafe")
-        keys <<= 8
-        pitch = notes.pitch.astype(keys.dtype)
-        on |= pitch
-        on |= 0x80
-        off |= pitch
-        del pitch  # freed before the words are built
-        keys.sort()
-        low = keys & 0xFF
-        tick = keys
-        tick >>= 8
-    else:
-        # the keys would wrap: a lexsort orders the ticks and low bytes themselves
-        tick = np.concatenate((notes.onset, notes.onset + notes.duration))
-        low = np.concatenate((notes.pitch | 0x80, notes.pitch))
-        order = np.lexsort((low, tick))
-        tick, low = tick[order], low[order]
-        del order
+    keys = np.empty(2 * n, np.uint32 if last < 2**24 else np.uint64)
+    on, off = keys[:n], keys[n:]
+    np.copyto(on, notes.onset, casting="unsafe")
+    np.add(notes.onset, notes.duration, out=off, casting="unsafe")
+    keys <<= 8
+    pitch = notes.pitch.astype(keys.dtype)
+    on |= pitch
+    on |= 0x80
+    off |= pitch
+    del pitch  # freed before the words are built
+    keys.sort()
+    low = keys & 0xFF
+    keys >>= 8  # each event's tick
     # each event's status, pitch and velocity bytes from its low byte: a note-off's
     # 0x80 and _NOTE_OFF_VELOCITY, or a note-on's 0x90 and VELOCITY
     off_word, on_word = 0x80_00_00 | _NOTE_OFF_VELOCITY, 0x90_00_00 | VELOCITY
@@ -267,7 +253,7 @@ def write_midi(notes: Notes, tempo_bpm: int, path) -> None:
     low <<= 8
     word |= low
     del low
-    delta = tick
+    delta = keys
     delta[1:] -= delta[:-1]  # numpy reads an overlapping operand as it was before the write
     longest = int(delta.max(initial=0))
     if longest > MAX_DELTA:

@@ -71,12 +71,10 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     Intensity is 255 * value / max, rounded half up in exact integer arithmetic.
     """
     zoom = _check_zoom(table.extent, zoom)
-    max_value = int(table.values.max())  # n + n**2 + ... + n**k >= 2
-    # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max), in one int64 array
-    gray = table.values * 510
-    gray += max_value
-    gray //= 2 * max_value
-    return RasterImage(_Fresh(_zoomed(gray.astype(np.uint8), zoom)), GRAY)
+    max_value = int(table.values.max())  # n + n**2 + ... + n**k, in [2, 2 * extent]
+    # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max), looked up for each value
+    gray = ((510 * np.arange(max_value + 1) + max_value) // (2 * max_value)).astype(np.uint8)
+    return RasterImage(_Fresh(_zoomed(gray[table.values], zoom)), GRAY)
 
 
 def _pnm_chunks(image: RasterImage):

@@ -438,6 +438,21 @@ def test_no_image_is_rendered_unless_asked_for(capsys, tmp_path, monkeypatch, ar
 
 
 @pytest.mark.parametrize("argv", [
+    ["table", "--base", "2", "--digits", "2", "--csv", "x.csv", "--pgm", "g.pgm"],
+    ["fractal", "--base", "2", "--depth", "2", "--pbm", "f.pbm", "--cells", "c.csv"],
+], ids=["table", "fractal"])
+def test_refused_zoom_prints_and_writes_nothing(capsys, tmp_path, monkeypatch, argv):
+    # the image is rendered before the summary line and every file, so its size cap
+    # refuses the whole call, not the image alone
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--zoom", "5000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: image side 20000 exceeds limit 16384\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["music", "--base", "2", "--depth", "2", "--midi", ""],
     ["table", "--base", "2", "--digits", "2", "--csv", ""],
 ], ids=["music-midi", "table-csv"])

@@ -21,7 +21,6 @@ from cvtfractals import (
     write_notes_csv,
     zero_carry_set,
 )
-from cvtfractals import melody
 from cvtfractals.melody import MAX_DELTA, MAX_TEMPO, MIN_TEMPO
 from helpers import (
     _smf_vlq,
@@ -536,9 +535,9 @@ class TestNotes:
     def test_ordered_and_shuffled_tables_build_equal_columns(self, data):
         # (onset, pitch) is unique, so a shuffled copy sorts back to the ordered table;
         # small onsets give many notes of one onset, told apart by their pitch alone
-        onset_st = st.one_of(st.integers(0, 3), st.integers(0, 2**62 - 1))
+        onset_st = st.one_of(st.integers(0, 3), st.integers(0, 2**55 - 1))
         rows = sorted(data.draw(st.lists(
-            st.tuples(onset_st, st.integers(1, 2**62 - 1), st.integers(0, 127)),
+            st.tuples(onset_st, st.integers(1, 2**55 - 1), st.integers(0, 127)),
             unique_by=lambda row: (row[0], row[2]), max_size=30)), key=lambda row: (row[0], row[2]))
         ordered = [np.array(col, dtype=np.int64) for col in zip(*rows)] or [
             np.zeros(0, dtype=np.int64)] * 3
@@ -684,33 +683,25 @@ class TestColumnarOracles:
         write_midi(notes, tempo_bpm=120, path=path)
         assert path.read_bytes() == reference_midi(rows, 480, 120)
 
-    @pytest.mark.parametrize("rows,longest", [
-        ([(2**56, 1, 60)], 2**56),
-        ([(0, 1, 60), (2**56, 5, 61)], 2**56 - 1),
-        ([(2**56 - 1, 2, 60)], 2**56 - 1),
-        ([(0, 2**56 - 1, 60), (2**56 - 10, 1, 61)], 2**56 - 10),
-        ([(2**62 - 1, 2**62 - 1, 127)], 2**62 - 1),
-    ])
-    def test_ticks_past_64_bit_keys_name_the_longest_delta(self, tmp_path, rows, longest):
-        # ticks from 2**56 on do not fit a 64-bit key above its 8 bits of flag and pitch;
-        # the refusal names the exact longest delta all the same, and nothing wraps
+    def test_largest_admitted_note_names_its_delta(self, tmp_path):
+        # the Notes bounds end every note below 2**56, so its tick fits a 64-bit key above
+        # the 8 bits of flag and pitch; the longest delta is named exactly, nothing wraps
         path = tmp_path / "w.mid"
-        with pytest.raises(ValueError, match=f"^delta time {longest} exceeds the MIDI limit"):
-            write_midi(make_notes(*rows), tempo_bpm=120, path=path)
+        with pytest.raises(ValueError, match=f"^delta time {2**55 - 1} exceeds the MIDI limit"):
+            write_midi(make_notes((2**55 - 1, 2**55 - 1, 127)), tempo_bpm=120, path=path)
         assert not path.exists()
 
     @pytest.mark.parametrize("rows", [
-        # deltas within MAX_DELTA reach the limit: 2**27 notes or more do at 2**56
+        # deltas within MAX_DELTA reach ticks past 2**30
         [(k * MAX_DELTA, 1, 60 + k) for k in range(6)],
-        # one note-off and one note-on of a pitch meet at each tick past the limit
+        # one note-off and one note-on of a pitch meet at each tick past 2**30
         [(0, 5, 60), (0, MAX_DELTA, 0)] + [(k * MAX_DELTA, MAX_DELTA, 127) for k in (1, 2, 3)]
         + [(3 * MAX_DELTA, 9, 0), (4 * MAX_DELTA, 9, 127), (4 * MAX_DELTA, 9, 0)],
-        # the last onset plus the longest duration passes the limit, no tick does
+        # the last onset plus the longest duration passes 2**30, no tick does
         [(0, MAX_DELTA, 60)] + [(k * MAX_DELTA, 1, 61) for k in range(1, 5)],
     ])
-    def test_ticks_past_the_key_limit_match_reference(self, tmp_path, monkeypatch, rows):
-        # a lower key limit shows on a few notes what 2**27 of them need for 2**56
-        monkeypatch.setattr(melody, "_KEY_TICKS", 2**30)
+    def test_ticks_past_the_key_limit_match_reference(self, tmp_path, rows):
+        # ticks far past the 32-bit keys' 2**24 take the 64-bit key path
         assert max(onset for onset, _, _ in rows) + max(d for _, d, _ in rows) >= 2**30
         path = tmp_path / "w.mid"
         write_midi(make_notes(*rows), tempo_bpm=120, path=path)

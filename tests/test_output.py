@@ -166,7 +166,7 @@ class TestCsvWriterBlocks:
     @given(data=st.data())
     def test_notes_csv_at_block_edges(self, data, tmp_path_factory):
         count = data.draw(st.integers(0, 9))
-        ticks = st.sampled_from(EDGE_VALUES) | st.integers(1, 2**62 - 1)
+        ticks = st.sampled_from(EDGE_VALUES) | st.integers(1, 2**55 - 1)
         rows = data.draw(st.lists(st.tuples(ticks, ticks.filter(bool), st.integers(0, 127)),
                                   min_size=count, max_size=count))
         notes = melody.Notes(*map(list, zip(*rows))) if rows else melody.Notes([], [], [])

@@ -30,7 +30,8 @@ from cvtfractals import (
 )
 from cvtfractals.cli import run
 
-# id: (call taking the refused value, argument name, an out-of-range value, error)
+# id: (call taking the refused value, argument name, an out-of-range value or a tuple of
+# them, error)
 SCALARS = {
     "cvt.a": (lambda x: cvt(x, 1, 2), "a", -1, ValueError),
     "cvt.b": (lambda x: cvt(1, x, 2), "b", -1, ValueError),
@@ -66,8 +67,9 @@ SCALARS = {
 # the refused value goes in as the one element of the array
 ARRAYS = {
     "CellSet.keys": (lambda x: CellSet(2, 1, [x]), "keys", 4),
-    "Notes.onset": (lambda x: Notes([x], [1], [60]), "onset", -1),
-    "Notes.duration": (lambda x: Notes([0], [x], [60]), "duration", 0),
+    # 2**55 is one past the largest onset or duration write_midi's 64-bit event keys hold
+    "Notes.onset": (lambda x: Notes([x], [1], [60]), "onset", (-1, 2**55)),
+    "Notes.duration": (lambda x: Notes([0], [x], [60]), "duration", (0, 2**55)),
     "Notes.pitch": (lambda x: Notes([0], [1], [x]), "pitch", 128),
     "RasterImage.pixels": (lambda x: RasterImage(np.array([[x]]), "gray"), "pixels", 256),
 }
@@ -75,7 +77,8 @@ ARRAYS = {
 
 def _cases(table):
     for case_id, (call, name, out_of_range, *error) in table.items():
-        for value in (2.5, "3", out_of_range):
+        out_of_range = out_of_range if isinstance(out_of_range, tuple) else (out_of_range,)
+        for value in (2.5, "3", True, *out_of_range):
             yield pytest.param(call, name, value, *(error or [ValueError]),
                                id=f"{case_id}-{value!r}")
 
