@@ -37,9 +37,6 @@ def _int_arg(lo: int, hi: int | None = None):
 _base_arg = _int_arg(2)
 _nonneg_arg = _int_arg(0)
 _pos_arg = _int_arg(1)
-COMMANDS = ("cvt", "table", "fractal", "dimension", "target-base", "overlay", "music", "spectrum")
-# the options naming a file a subcommand writes, in the order its parser adds them
-OUTPUTS = ("pbm", "cells", "report", "midi", "csv", "pgm")
 
 
 def _write(path, write) -> None:
@@ -52,18 +49,19 @@ def _write(path, write) -> None:
 def _same_output(args) -> str | None:
     """A refusal when two output options of args name one file that write_chunks would
     replace, a missing or regular one: the second write would replace the first's file."""
-    paths = {dest: getattr(args, dest, None) or "" for dest in OUTPUTS}
+    flags = [names[0] for names, kw in SUBCOMMANDS[args.command][2] if kw.get("metavar") == "PATH"]
+    paths = {flag: getattr(args, flag[2:].replace("-", "_")) or "" for flag in flags}
     # an option not given, or a path naming no file, which write_chunks refuses, is left out;
     # one path alone cannot clash, and costs no file system call
-    given = [(dest, path) for dest, path in paths.items() if os.path.basename(path)]
+    given = [(flag, path) for flag, path in paths.items() if os.path.basename(path)]
     named = {}
-    for dest, path in given if len(given) > 1 else ():
+    for flag, path in given if len(given) > 1 else ():
         real = os.path.realpath(path)
         if os.path.exists(real) and not os.path.isfile(real):
             continue  # a FIFO or device takes every write
         if real in named:
-            return f"--{named[real]} and --{dest} name the same file {real}"
-        named[real] = dest
+            return f"{named[real]} and {flag} name the same file {real}"
+        named[real] = flag
     return None
 
 
@@ -100,7 +98,7 @@ def _cmd_table(args) -> int:
     # the image comes before any output, so a zoom its size cap refuses leaves none
     image = raster.render_table(tab, zoom=args.zoom) if args.pgm is not None else None
     print(f"CV table base {args.base}, {args.digits} digit(s):"
-          f" extent {tab.extent}, max carry value {int(tab.values.max())}")
+          f" extent {tab.extent}, max carry value {tab.max_value}")
     _write(args.csv, lambda path: table.write_table_csv(tab, path))
     _write(args.pgm, lambda path: raster.write_pnm(image, path))
     return 0
@@ -191,6 +189,49 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _arg(*names, **kw):
+    """One argument of a subcommand: the arguments of its add_argument call."""
+    return names, kw
+
+
+_BASE = _arg("--base", type=_base_arg, required=True)
+_ZOOM = _arg("--zoom", type=_pos_arg, default=1)
+# every subcommand in usage order: its help, its handler and its arguments in parser order;
+# an option of metavar PATH names a file the subcommand writes
+SUBCOMMANDS = {
+    "cvt": ("carry value and carry-free sum of two integers", _cmd_cvt, [
+        _BASE, _arg("a", type=_nonneg_arg), _arg("b", type=_nonneg_arg)]),
+    "table": ("build a carry-value table", _cmd_table, [
+        _BASE, _arg("--digits", type=_pos_arg, required=True), _arg("--csv", metavar="PATH"),
+        _arg("--pgm", metavar="PATH"), _ZOOM]),
+    "fractal": ("extract a carry-value pattern", _cmd_fractal, [
+        _BASE, _arg("--depth", type=_nonneg_arg, required=True),
+        _arg("--value", type=_nonneg_arg, help="carry value to select (default 0)"),
+        _arg("--pbm", metavar="PATH"), _arg("--cells", metavar="PATH"), _ZOOM]),
+    "dimension": ("closed-form dimension, optional box-count estimate", _cmd_dimension, [
+        _BASE, _arg("--estimate", action="store_true"), _arg("--depth", type=_int_arg(2)),
+        _arg("--report", metavar="PATH")]),
+    "target-base": ("base whose dimension is nearest a target", _cmd_target_base, [
+        _arg("--dimension", type=float, required=True)]),
+    "overlay": ("overflow generator of consecutive bases", _cmd_overlay, [
+        _arg("--small", type=_base_arg, required=True),
+        _arg("--depth", type=_int_arg(2), required=True),
+        _arg("--report", metavar="PATH"), _arg("--csv", metavar="PATH")]),
+    "music": ("render a zero-carry pattern as a MIDI melody", _cmd_music, [
+        _BASE, _arg("--depth", type=_nonneg_arg, required=True),
+        _arg("--scale", choices=sorted(melody.SCALES), default="major"),
+        _arg("--base-pitch", type=_int_arg(0, 127), default=60),
+        _arg("--tempo", type=_int_arg(melody.MIN_TEMPO, melody.MAX_TEMPO), default=120,
+             help="beats per minute; each grid cell is a sixteenth note"),
+        _arg("--midi", metavar="PATH", required=True), _arg("--csv", metavar="PATH"),
+        _arg("--spectrum", action="store_true",
+             help="also fit the pitch series' spectral exponent")]),
+    "spectrum": ("spectral exponent of a series", _cmd_spectrum, [
+        _arg("--in", dest="series", metavar="SERIES.csv", required=True,
+             help="CSV with one value per line (optional header)")]),
+}
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone when it names one."""
     parser = argparse.ArgumentParser(
@@ -198,71 +239,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Carry-value fractals: patterns, dimensions, images, melodies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command in COMMANDS:  # the usage line of an unrecognized-arguments error names them all
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
-
-    def add(name, **kw):
-        return sub.add_parser(name, **kw) if command not in COMMANDS or name == command else None
-
-    if p := add("cvt", help="carry value and carry-free sum of two integers"):
-        p.add_argument("--base", type=_base_arg, required=True)
-        p.add_argument("a", type=_nonneg_arg)
-        p.add_argument("b", type=_nonneg_arg)
-        p.set_defaults(func=_cmd_cvt)
-
-    if p := add("table", help="build a carry-value table"):
-        p.add_argument("--base", type=_base_arg, required=True)
-        p.add_argument("--digits", type=_pos_arg, required=True)
-        p.add_argument("--csv", metavar="PATH")
-        p.add_argument("--pgm", metavar="PATH")
-        p.add_argument("--zoom", type=_pos_arg, default=1)
-        p.set_defaults(func=_cmd_table)
-
-    if p := add("fractal", help="extract a carry-value pattern"):
-        p.add_argument("--base", type=_base_arg, required=True)
-        p.add_argument("--depth", type=_nonneg_arg, required=True)
-        p.add_argument("--value", type=_nonneg_arg, help="carry value to select (default 0)")
-        p.add_argument("--pbm", metavar="PATH")
-        p.add_argument("--cells", metavar="PATH")
-        p.add_argument("--zoom", type=_pos_arg, default=1)
-        p.set_defaults(func=_cmd_fractal)
-
-    if p := add("dimension", help="closed-form dimension, optional box-count estimate"):
-        p.add_argument("--base", type=_base_arg, required=True)
-        p.add_argument("--estimate", action="store_true")
-        p.add_argument("--depth", type=_int_arg(2))
-        p.add_argument("--report", metavar="PATH")
-        p.set_defaults(func=_cmd_dimension)
-
-    if p := add("target-base", help="base whose dimension is nearest a target"):
-        p.add_argument("--dimension", type=float, required=True)
-        p.set_defaults(func=_cmd_target_base)
-
-    if p := add("overlay", help="overflow generator of consecutive bases"):
-        p.add_argument("--small", type=_base_arg, required=True)
-        p.add_argument("--depth", type=_int_arg(2), required=True)
-        p.add_argument("--report", metavar="PATH")
-        p.add_argument("--csv", metavar="PATH")
-        p.set_defaults(func=_cmd_overlay)
-
-    if p := add("music", help="render a zero-carry pattern as a MIDI melody"):
-        p.add_argument("--base", type=_base_arg, required=True)
-        p.add_argument("--depth", type=_nonneg_arg, required=True)
-        p.add_argument("--scale", choices=sorted(melody.SCALES), default="major")
-        p.add_argument("--base-pitch", type=_int_arg(0, 127), default=60)
-        p.add_argument("--tempo", type=_int_arg(melody.MIN_TEMPO, melody.MAX_TEMPO), default=120,
-                       help="beats per minute; each grid cell is a sixteenth note")
-        p.add_argument("--midi", metavar="PATH", required=True)
-        p.add_argument("--csv", metavar="PATH")
-        p.add_argument("--spectrum", action="store_true",
-                       help="also fit the pitch series' spectral exponent")
-        p.set_defaults(func=_cmd_music)
-
-    if p := add("spectrum", help="spectral exponent of a series"):
-        p.add_argument("--in", dest="series", metavar="SERIES.csv", required=True,
-                       help="CSV with one value per line (optional header)")
-        p.set_defaults(func=_cmd_spectrum)
-
+    if command in SUBCOMMANDS:  # the usage line of an unrecognized-arguments error names them all
+        sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    for name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
+        help_text, func, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for names, kw in arguments:
+            p.add_argument(*names, **kw)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +72,10 @@ def render_table(table: CvTable, zoom: int = 1) -> RasterImage:
     Intensity is 255 * value / max, rounded half up in exact integer arithmetic.
     """
     zoom = _check_zoom(table.extent, zoom)
-    max_value = int(table.values.max())  # n + n**2 + ... + n**k, in [2, 2 * extent]
+    max_value = table.max_value  # in [2, 2 * extent]
     # floor(255 * v / max + 1/2) == (510 * v + max) // (2 * max), looked up for each value
     gray = ((510 * np.arange(max_value + 1) + max_value) // (2 * max_value)).astype(np.uint8)
     return RasterImage(_Fresh(_zoomed(gray[table.values], zoom)), GRAY)
-
-
-def _pnm_chunks(image: RasterImage):
-    top = 1 if image.mode == BILEVEL else 255
-    if image.mode == BILEVEL:
-        yield f"P1\n{image.width} {image.height}\n".encode("ascii")
-    else:
-        yield f"P2\n{image.width} {image.height}\n255\n".encode("ascii")
-    yield from ascii_rows(image.height, image.width, top, lambda rows: image.pixels[rows], " ")
 
 
 def write_pnm(image: RasterImage, path) -> None:
@@ -93,4 +85,9 @@ def write_pnm(image: RasterImage, path) -> None:
     one line per pixel row with single-space separators and no comments. The
     byte stream is fully determined by the image.
     """
-    write_chunks(path, _pnm_chunks(image))
+    if image.mode == BILEVEL:
+        top, header = 1, f"P1\n{image.width} {image.height}\n"
+    else:
+        top, header = 255, f"P2\n{image.width} {image.height}\n255\n"
+    body = ascii_rows(image.height, image.width, top, lambda rows: image.pixels[rows], " ")
+    write_chunks(path, itertools.chain([header.encode("ascii")], body))

@@ -56,6 +56,11 @@ class CvTable:
     def extent(self) -> int:
         return self.base**self.digits_k
 
+    @property
+    def max_value(self) -> int:
+        """The largest carry value n + ... + n**k: at a = b = n**k - 1 every digit carries."""
+        return self.base * (self.extent - 1) // (self.base - 1)
+
 
 class _Fresh:
     """An array built for one CellSet (its sorted int64 keys) or one RasterImage (its
@@ -231,7 +236,8 @@ def write_table_csv(table: CvTable, path) -> None:
     """
     index, values = np.arange(table.extent), table.values
     header = ascii_rows(1, table.extent, table.extent - 1, lambda rows: index, ",")
-    body = ascii_rows(table.extent, table.extent + 1, max(table.extent - 1, int(values.max())),
+    # the maximum carry value is at least extent - 1, the largest index
+    body = ascii_rows(table.extent, table.extent + 1, table.max_value,
                       lambda rows: np.column_stack((index[rows], values[rows])), ",")
     write_chunks(path, itertools.chain([b","], header, body))
 

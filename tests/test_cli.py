@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -467,13 +468,36 @@ def test_empty_output_path_is_an_error(capsys, tmp_path, monkeypatch, argv):
     assert sorted(os.listdir(tmp_path)) == ["work"]
 
 
-# every subcommand that writes two files, with its two output options in parser order
+def _subparsers(parser):
+    """The subcommand parsers that parser holds, by name, in the order it added them."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _path_options(name):
+    """The option strings of subcommand name whose metavar is PATH, read from its parser."""
+    actions = _subparsers(cli.build_parser(name))[name]._actions
+    return [action.option_strings[0] for action in actions if action.metavar == "PATH"]
+
+
+# every subcommand that writes two files or more: the arguments it needs besides its
+# outputs, and each pair of its output options in parser order
 TWO_OUTPUTS = {
-    "table": (["table", "--base", "2", "--digits", "2"], "--csv", "--pgm"),
-    "fractal": (["fractal", "--base", "2", "--depth", "2"], "--pbm", "--cells"),
-    "overlay": (["overlay", "--small", "3", "--depth", "3"], "--report", "--csv"),
-    "music": (["music", "--base", "2", "--depth", "3"], "--midi", "--csv"),
+    name: (argv, list(itertools.combinations(paths, 2)))
+    for name, argv in {
+        "table": ["table", "--base", "2", "--digits", "2"],
+        "fractal": ["fractal", "--base", "2", "--depth", "2"],
+        "dimension": ["dimension", "--base", "3", "--estimate", "--depth", "2"],
+        "overlay": ["overlay", "--small", "3", "--depth", "3"],
+        "music": ["music", "--base", "2", "--depth", "3"],
+    }.items()
+    if len(paths := _path_options(name)) > 1
 }
+
+
+def test_every_writing_subcommand_is_checked_for_output_pairs():
+    # a subcommand that gains an output option joins the check, or this test names it
+    writers = {name for name in _subparsers(cli.build_parser()) if len(_path_options(name)) > 1}
+    assert writers == set(TWO_OUTPUTS)
 
 
 @pytest.mark.parametrize("command", sorted(TWO_OUTPUTS))
@@ -482,13 +506,14 @@ def test_two_outputs_naming_one_file_are_refused(capsys, tmp_path, monkeypatch, 
     # the second write would replace the first one's file: refused before anything is written
     monkeypatch.chdir(tmp_path)
     os.mkdir("sub")
-    argv, first, second = TWO_OUTPUTS[command]
-    assert run([*argv, first, "out", second, other]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: {first} and {second} name the same file"
-                            f" {os.path.realpath('out')}\n")
-    assert os.listdir(tmp_path) == ["sub"]
+    argv, pairs = TWO_OUTPUTS[command]
+    for first, second in pairs:
+        assert run([*argv, first, "out", second, other]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {first} and {second} name the same file"
+                                f" {os.path.realpath('out')}\n")
+        assert os.listdir(tmp_path) == ["sub"]
 
 
 def test_a_symlink_to_another_output_names_its_file(capsys, tmp_path, monkeypatch):
@@ -567,13 +592,85 @@ def added_subcommands(monkeypatch):
 def test_a_call_builds_only_its_own_subcommand(capsys, added_subcommands):
     assert run(["target-base", "--dimension", "1.68"]) == 0
     assert added_subcommands == ["target-base"]
-    for name in cli.COMMANDS:
+    for name in cli.SUBCOMMANDS:
         added_subcommands.clear()
         assert run([name, "-h"]) == 0
         assert added_subcommands == [name]
 
 
 def test_the_full_parser_adds_every_listed_subcommand(capsys, added_subcommands):
-    # cli.COMMANDS decides which calls get a narrow parser and names them in its usage
+    # cli.SUBCOMMANDS decides which calls get a narrow parser and names them in its usage
     assert run(["-h"]) == 0
-    assert added_subcommands == list(cli.COMMANDS)
+    assert added_subcommands == list(cli.SUBCOMMANDS)
+
+
+# every subcommand in usage order, with its arguments in parser order: option strings, dest,
+# required, default, choices and metavar, written out here rather than read from cli.py
+SURFACE = {
+    "cvt": [
+        (["--base"], "base", True, None, None, None),
+        ([], "a", True, None, None, None),
+        ([], "b", True, None, None, None),
+    ],
+    "table": [
+        (["--base"], "base", True, None, None, None),
+        (["--digits"], "digits", True, None, None, None),
+        (["--csv"], "csv", False, None, None, "PATH"),
+        (["--pgm"], "pgm", False, None, None, "PATH"),
+        (["--zoom"], "zoom", False, 1, None, None),
+    ],
+    "fractal": [
+        (["--base"], "base", True, None, None, None),
+        (["--depth"], "depth", True, None, None, None),
+        (["--value"], "value", False, None, None, None),
+        (["--pbm"], "pbm", False, None, None, "PATH"),
+        (["--cells"], "cells", False, None, None, "PATH"),
+        (["--zoom"], "zoom", False, 1, None, None),
+    ],
+    "dimension": [
+        (["--base"], "base", True, None, None, None),
+        (["--estimate"], "estimate", False, False, None, None),
+        (["--depth"], "depth", False, None, None, None),
+        (["--report"], "report", False, None, None, "PATH"),
+    ],
+    "target-base": [
+        (["--dimension"], "dimension", True, None, None, None),
+    ],
+    "overlay": [
+        (["--small"], "small", True, None, None, None),
+        (["--depth"], "depth", True, None, None, None),
+        (["--report"], "report", False, None, None, "PATH"),
+        (["--csv"], "csv", False, None, None, "PATH"),
+    ],
+    "music": [
+        (["--base"], "base", True, None, None, None),
+        (["--depth"], "depth", True, None, None, None),
+        (["--scale"], "scale", False, "major", ["chromatic", "major", "minor", "pentatonic"],
+         None),
+        (["--base-pitch"], "base_pitch", False, 60, None, None),
+        (["--tempo"], "tempo", False, 120, None, None),
+        (["--midi"], "midi", True, None, None, "PATH"),
+        (["--csv"], "csv", False, None, None, "PATH"),
+        (["--spectrum"], "spectrum", False, False, None, None),
+    ],
+    "spectrum": [
+        (["--in"], "series", True, None, None, "SERIES.csv"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SURFACE)
+def test_each_subcommand_takes_the_arguments_it_documents(name):
+    parser = _subparsers(cli.build_parser(name))[name]
+    arguments = [(action.option_strings, action.dest, action.required, action.default,
+                  None if action.choices is None else list(action.choices), action.metavar)
+                 for action in parser._actions if not isinstance(action, argparse._HelpAction)]
+    assert arguments == SURFACE[name]
+    assert parser.get_default("func") is not None
+
+
+@pytest.mark.parametrize("command", [None, *SURFACE])
+def test_the_usage_line_lists_every_subcommand_in_order(command):
+    # a narrow parser names every subcommand too, in the order of the full one
+    assert "{" + ",".join(SURFACE) + "}" in cli.build_parser(command).format_usage()
+    assert list(_subparsers(cli.build_parser())) == list(SURFACE)

@@ -3,6 +3,7 @@ import os
 import stat
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,11 +25,19 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.output import ascii_rows, write_chunks
-from cvtfractals.raster import RasterImage, _pnm_chunks
+from cvtfractals.raster import RasterImage
 from helpers import cell_keys, csv_bytes, pnm_bytes
 
 EDGE_VALUES = (0, 1, 9, 10, 99, 100, 255)
 SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12)
+
+
+def pnm_chunks(image):
+    """The chunks write_pnm hands to write_chunks, collected instead of written."""
+    chunks = []
+    with mock.patch.object(raster, "write_chunks", lambda path, it: chunks.extend(it)):
+        raster.write_pnm(image, "unused")
+    return chunks
 
 
 def table_csv_oracle(tab):
@@ -93,21 +102,21 @@ class TestPnmBytes:
     @given(arrays(np.uint8, SHAPES, elements=st.integers(0, 1)))
     def test_bilevel_matches_oracle(self, pixels):
         image = RasterImage(pixels, "bilevel")
-        assert b"".join(_pnm_chunks(image)) == pnm_bytes(pixels, "bilevel")
+        assert b"".join(pnm_chunks(image)) == pnm_bytes(pixels, "bilevel")
 
     @given(arrays(np.uint8, SHAPES, elements=st.sampled_from(EDGE_VALUES) | st.integers(0, 255)))
     def test_gray_matches_oracle(self, pixels):
-        assert b"".join(_pnm_chunks(RasterImage(pixels, "gray"))) == pnm_bytes(pixels, "gray")
+        assert b"".join(pnm_chunks(RasterImage(pixels, "gray"))) == pnm_bytes(pixels, "gray")
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0)])
     @pytest.mark.parametrize("mode", ["bilevel", "gray"])
     def test_empty_shapes(self, shape, mode):
         pixels = np.zeros(shape, dtype=np.uint8)
-        assert b"".join(_pnm_chunks(RasterImage(pixels, mode))) == pnm_bytes(pixels, mode)
+        assert b"".join(pnm_chunks(RasterImage(pixels, mode))) == pnm_bytes(pixels, mode)
 
     def test_wide_int64_gray(self):
         pixels = np.array([EDGE_VALUES, EDGE_VALUES[::-1]], dtype=np.int64)
-        assert b"".join(_pnm_chunks(RasterImage(pixels, "gray"))) == (
+        assert b"".join(pnm_chunks(RasterImage(pixels, "gray"))) == (
             b"P2\n7 2\n255\n0 1 9 10 99 100 255\n255 100 99 10 9 1 0\n"
         )
 
@@ -262,14 +271,14 @@ class TestAsciiRows:
             monkeypatch.setattr(output, "_TABLE_LIMIT", table_limit)
             rng = np.random.default_rng(block)
             gray = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)
-            assert b"".join(_pnm_chunks(RasterImage(gray, "gray"))) == pnm_bytes(gray, "gray")
+            assert b"".join(pnm_chunks(RasterImage(gray, "gray"))) == pnm_bytes(gray, "gray")
             bits = rng.integers(0, 2, size=(6, 7)).astype(np.uint8)
             image = RasterImage(bits, "bilevel")
-            assert b"".join(_pnm_chunks(image)) == pnm_bytes(bits, "bilevel")
+            assert b"".join(pnm_chunks(image)) == pnm_bytes(bits, "bilevel")
             tab = build_table(3, 2)
             write_table_csv(tab, tmp_path / "t.csv")
             assert (tmp_path / "t.csv").read_bytes() == table_csv_oracle(tab)
-            blocks = list(_pnm_chunks(RasterImage(gray, "gray")))[1:]
+            blocks = list(pnm_chunks(RasterImage(gray, "gray")))[1:]
             assert len(blocks) == -(-5 // max(1, block // 7))
             wide = rng.integers(0, 10**13, size=(4, 7))
             expected = "".join(",".join(map(str, row)) + "\n" for row in wide.tolist())
@@ -284,7 +293,7 @@ class TestAsciiRows:
         monkeypatch.setattr(output, "BLOCK_VALUES", block)
         pixels = np.random.default_rng(block).integers(0, 2 if mode == "bilevel" else 256, (7, 12))
         image = RasterImage(pixels.T if transpose else np.ascontiguousarray(pixels.T), mode)
-        head, *body = _pnm_chunks(image)
+        head, *body = pnm_chunks(image)
         assert b"".join(body) == pnm_bytes(image.pixels, mode)[len(head):]
         for chunk in body:
             assert chunk.endswith(b"\n")

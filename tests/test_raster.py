@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,6 @@ from cvtfractals import (
     write_pnm,
     zero_carry_set,
 )
-from cvtfractals.raster import _pnm_chunks
 from cvtfractals.table import _Fresh
 from helpers import cell_keys, parse_pnm
 
@@ -145,7 +146,11 @@ class TestWritePnm:
         else:
             pixels = rng.integers(0, 256, size=(height, width)).astype(np.uint8)
             image = RasterImage(pixels, "gray")
-        mode, w, h, rows = parse_pnm(b"".join(_pnm_chunks(image)))
+        with tempfile.TemporaryDirectory() as tmp:  # no tmp_path: it outlives one example
+            path = os.path.join(tmp, "image.pnm")
+            write_pnm(image, path)
+            with open(path, "rb") as f:
+                mode, w, h, rows = parse_pnm(f.read())
         assert (mode, w, h) == (image.mode, width, height)
         assert rows == pixels.tolist()
 

@@ -87,6 +87,12 @@ class TestBuildTable:
         table = build_table(4, 2)
         assert np.array_equal(table.values, table.values.T)
 
+    @given(st.sampled_from([(b, k) for b in range(2, 65) for k in range(1, 10) if b**k <= 512]))
+    def test_max_value_is_the_largest_value(self, base_k):
+        table = build_table(*base_k)
+        assert table.max_value == int(table.values.max())
+        assert type(table.max_value) is int
+
     def test_extent_limit(self):
         with pytest.raises(SizeLimitError):
             build_table(2, 13)  # 8192 > 4096
