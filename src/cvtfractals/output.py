@@ -17,7 +17,7 @@ import numpy as np
 # values encoded per block, in whole rows (one row if wider): a few MB of buffers,
 # which each block after the first reuses from the heap instead of faulting in anew
 BLOCK_VALUES = 1 << 16
-# maxima below this are spelled once into a lookup table, then gathered
+# maxima below this are spelled once into a table of ndig + 1 byte items, then gathered
 _TABLE_LIMIT = 1 << 16
 # wider values are spelled in groups of three decimal digits
 _GROUP = 10**3
@@ -57,12 +57,12 @@ def ascii_rows(count: int, cols: int, top, block, sep: str) -> Iterable[bytes]:
     ndig = len(str(bound))
     wide = bound >= _TABLE_LIMIT
     if not wide:
-        # a value and its separator, in a power-of-two width, gather as one machine word
-        width = 1 << ndig.bit_length()
+        # a value's digits and its separator, in exactly ndig + 1 bytes, gather as one item
+        width = ndig + 1
         row = cols * width
         spelled = np.full((bound + 1, width), ord(sep), dtype=np.uint8)
-        spelled[:, :-1] = _spell(np.arange(bound + 1), width - 1)
-        table = spelled.view(f"u{width}").reshape(-1)
+        spelled[:, :-1] = _spell(np.arange(bound + 1), ndig)
+        table = spelled.view(f"V{width}").reshape(-1)
         # a digit and its separator are one little-endian 16-bit word, digit byte first
         digit_word = ord(sep) << 8 | ord("0")
     else:

@@ -64,9 +64,11 @@ def blocks_around(draw, count, cols):
     return draw(st.integers(1 if rows == 1 else rows * cols, rows * cols + cols - 1))
 
 
-# column maxima on each side of the three-digit group, lookup-table, six-digit group
-# and 32-bit arithmetic edges, and the largest value the encoder takes
-COLUMN_TOPS = [0, 9, 999, 1000, 65_535, 65_536, 10**6 - 1, 10**6, 2**32 - 1, 2**32, 2**63 - 1]
+# column maxima on each side of every lookup-table item width (2 to 6 bytes), the
+# three-digit group, lookup-table, six-digit group and 32-bit arithmetic edges, and
+# the largest value the encoder takes
+COLUMN_TOPS = [0, 9, 99, 100, 999, 1000, 9_999, 10_000, 65_535, 65_536, 10**6 - 1, 10**6,
+               2**32 - 1, 2**32, 2**63 - 1]
 
 
 @st.composite
