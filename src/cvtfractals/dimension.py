@@ -28,7 +28,7 @@ from .errors import (
 )
 from . import output
 from .output import write_chunks
-from .table import CellSet, _sort_unique
+from .table import CellSet, _key_type, _sort_unique
 
 SEARCH_CAP = 10**6
 
@@ -136,15 +136,6 @@ def _coarser_keys(boxes: np.ndarray, width: int, factor: int) -> np.ndarray:
         rows *= across
         np.subtract(strips, rows, out=keys[start : start + step], casting="unsafe")
     return keys
-
-
-def _key_type(width: int) -> np.dtype:
-    """Narrowest type of a key row * width + col: unsigned up to 32 bits, else int64.
-
-    Never uint64, which numpy 1.x promotes with a Python int to float64.
-    """
-    dtype = np.min_scalar_type(width * width - 1)
-    return dtype if dtype.itemsize <= 4 else np.dtype(np.int64)
 
 
 def estimate_dimension(cells: CellSet) -> DimensionEstimate:

@@ -63,14 +63,11 @@ def _check_base(base) -> int:
     return _check_int("base", base, 2, error=InvalidBaseError)
 
 
-def _int_array(name: str, values, ndim: int,
-               lo: int | None = None, hi: int | None = None) -> np.ndarray:
+def _int_array(name: str, values, ndim: int, lo: int, hi: int) -> np.ndarray:
     """values as an ndim-D array, refused with ValueError naming `name` unless
     every value is an integer in [lo, hi].
 
     An empty array passes with any dtype, since numpy reads [] as float64.
-    Without bounds only the shape and dtype are tested, for a caller that
-    tests the ends of a sorted copy instead of paying a min and a max pass.
     """
     import numpy as np  # here alone, so radix and the integer checks load without numpy
 
@@ -80,7 +77,7 @@ def _int_array(name: str, values, ndim: int,
     if values.size and not np.issubdtype(values.dtype, np.integer):
         # bool is not an integer dtype, and Python ints past 64 bits arrive as objects
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
-    if values.size and lo is not None:
+    if values.size:
         # as Python ints, so a uint64 is compared with the bounds exactly
         low, high = int(values.min()), int(values.max())
         if low < lo or high > hi:

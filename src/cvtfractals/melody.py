@@ -60,10 +60,10 @@ _COLUMN_BOUNDS = {
 
 @dataclass(frozen=True, eq=False)
 class Notes:
-    """A note table: three read-only int64 columns sorted by (onset, pitch).
+    """A note table: three read-only columns sorted by (onset, pitch).
 
-    Each index is one note: onset and duration in ticks and MIDI pitch; every
-    note sounds at velocity VELOCITY. The constructor takes any three
+    Each index is one note: onset and duration in ticks (int64) and MIDI pitch
+    (uint8); every note sounds at velocity VELOCITY. The constructor takes any three
     equal-length 1-D integer sequences, checks each column's range once and
     copies it, stable-sorting notes given out of order, so notes tied on
     (onset, pitch) keep their order. clamped_high counts the pitches that were
@@ -89,7 +89,7 @@ class Notes:
             order = np.lexsort((pitch, onset))
             columns = {name: col[order] for name, col in columns.items()}
         for name, col in columns.items():
-            col = col.astype(np.int64)
+            col = col.astype(np.uint8 if name == "pitch" else np.int64)  # in range: checked above
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 

@@ -63,8 +63,8 @@ class CvTable:
 
 
 class _Fresh:
-    """An array built for one CellSet (its sorted int64 keys) or one RasterImage (its
-    pixels) and held by nothing else: adopted, not copied."""
+    """An array built for one CellSet (its sorted keys, of its key type) or one RasterImage
+    (its pixels) and held by nothing else: adopted, not copied."""
 
     def __init__(self, array: np.ndarray) -> None:  # no dataclass: it costs ~0.8 ms per import
         self.array = array
@@ -76,7 +76,8 @@ class CellSet:
 
     A cell enters and is held as its key row * extent + col, so row-major
     order is key order: the constructor takes a 1-D integer array or iterable
-    of keys, and `keys` is one read-only, sorted, duplicate-free int64 array.
+    of keys, and `keys` is one read-only, sorted, duplicate-free array of the
+    narrowest unsigned type holding extent**2 - 1 up to 32 bits, else int64.
     A set is its keys: divmod(keys, extent) gives back the rows and columns.
     The constructor sorts a copy of its keys; a substituted set adopts _substitute's.
     """
@@ -91,15 +92,14 @@ class CellSet:
         _check_extent(base, depth, MAX_KEY_EXTENT, "grid")
         extent = base**depth
         if not isinstance(keys, _Fresh):
-            # no dtype: forcing int64 here would truncate float keys instead of refusing them
-            keys = _int_array("keys", keys if isinstance(keys, np.ndarray) else list(keys), 1)
-            keys = _Fresh(keys.astype(np.int64))  # a copy: the caller's array stays as it is
-        keys = keys.array.astype(np.int64, copy=False)
-        # one pass tells sorted and unique; the ends then bound every key, and an unsigned
-        # key past int64 turns negative and sorts first
-        if not (keys[1:] > keys[:-1]).all():
+            # no dtype: forcing one here would truncate float keys instead of refusing them;
+            # every key is bounded before the copy narrows it, so none wraps
+            keys = _int_array("keys", keys if isinstance(keys, np.ndarray) else list(keys), 1,
+                              0, extent * extent - 1)
+            keys = _Fresh(keys.astype(_key_type(extent)))  # a copy: the caller's stays as it is
+        keys = keys.array
+        if not (keys[1:] > keys[:-1]).all():  # one pass tells sorted and unique
             keys = _sort_unique(keys)
-        _int_array("keys", keys[[0, -1]] if keys.size else keys, 1, 0, extent * extent - 1)
         keys.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "depth", depth)
@@ -120,6 +120,15 @@ def _check_extent(base: int, depth: int, limit: int, what: str) -> None:
     """
     if depth >= limit.bit_length() or base**depth > limit:
         raise SizeLimitError(f"{what} extent {base}**{depth} exceeds limit {limit}")
+
+
+def _key_type(width: int) -> np.dtype:
+    """Narrowest type of a key row * width + col: unsigned up to 32 bits, else int64.
+
+    Never uint64, which numpy 1.x promotes with a Python int to float64.
+    """
+    dtype = np.min_scalar_type(width * width - 1)
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.int64)
 
 
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
@@ -156,7 +165,7 @@ def _substitute(levels, modulus: int) -> CellSet:
     """Place levels[i], digit-pair keys x * modulus + y, in every cell kept by levels < i.
 
     Extent and cell count are checked against their limits before any allocation.
-    The keys are sorted after every level, so CellSet adopts them in order.
+    The keys are sorted, in the set's key type, after every level, so CellSet adopts them.
     """
     depth = len(levels)
     _check_extent(modulus, depth, MAX_SPARSE_EXTENT, "pattern")
@@ -164,9 +173,10 @@ def _substitute(levels, modulus: int) -> CellSet:
     if count > MAX_CELLS:
         raise SizeLimitError(f"pattern of {count} cells exceeds limit {MAX_CELLS}")
     extent = modulus**depth
-    keys = np.zeros(1, dtype=np.int64)
+    keys = np.zeros(1, _key_type(extent))
     for i, level in enumerate(levels):
         # one Horner step, x * extent + y, in place: level is x * modulus + y
+        level = level.astype(keys.dtype, copy=False)
         pairs = level // modulus
         pairs *= extent - modulus
         pairs += level
@@ -191,11 +201,19 @@ def _carries(base: int) -> np.ndarray:
 def _carry_triangle(base: int, carry: int) -> np.ndarray:
     """Sorted digit-pair keys x * base + y carrying 0 (x + y < base) or 1 (x + y >= base).
 
-    A triangle above MAX_CELLS is refused unbuilt: any pattern using it is larger.
+    Row x keeps y < base - x, or y >= base - x, so a key is its index in the triangle plus
+    its row's first key less that key's index: in _key_type(base), with no base**2 mask
+    or int64 index. A triangle above MAX_CELLS is refused unbuilt: any pattern using it
+    is larger.
     """
     if (size := (base - carry) * (base - carry + 1) // 2) > MAX_CELLS:
         raise SizeLimitError(f"pattern of at least {size} cells exceeds limit {MAX_CELLS}")
-    return np.flatnonzero(_carries(base) == carry)
+    rows = np.arange(carry, base)
+    lengths = rows if carry else base - rows
+    offsets = rows * base + (base - rows) * carry - (np.cumsum(lengths) - lengths)
+    keys = np.repeat(offsets.astype(_key_type(base)), lengths)
+    keys += np.arange(size, dtype=keys.dtype)
+    return keys
 
 
 def carry_value_set(base: int, depth: int, value: int = 0) -> CellSet:

@@ -377,12 +377,14 @@ def test_value_pattern_over_the_cell_limit_is_refused_cleanly():
 
 
 @pytest.mark.parametrize("base,depth,cells,limit_mib", [
-    (90, 2, 16_769_025, 320),
-    (5792, 1, 16_776_528, 640),
+    (90, 2, 16_769_025, 256),
+    (5792, 1, 16_776_528, 512),
 ])
 def test_the_largest_admitted_patterns_fit_their_address_space(base, depth, cells, limit_mib):
-    # the two patterns nearest MAX_CELLS, 134 MB of keys each; base 5792 finds its one
-    # level among 33.5M digit pairs, base 90 substitutes 4,095 pairs into 4,095 cells
+    # the two patterns nearest MAX_CELLS, 67 MB of uint32 keys each; base 5792 builds its
+    # one level from its rows' offsets, base 90 substitutes 4,095 pairs into 4,095 cells.
+    # They run in about 180 and 247 MiB of address space, and in 247 and 374 MiB with
+    # int64 keys and a level found among 33.5M digit pairs
     resource = pytest.importorskip("resource")
 
     def limit_memory():
@@ -397,13 +399,14 @@ def test_the_largest_admitted_patterns_fit_their_address_space(base, depth, cell
 
 
 def test_the_widest_admitted_melody_fits_its_address_space(tmp_path):
-    # 5,792 notes from the 16,776,528 cells of base 5792, 134 MB of keys: the runs are
-    # found in 32-bit keys, each temporary dropped once used, and the cells are let go
-    # once their notes exist; with int64 run keys this call needed about 500 MiB
+    # 5,792 notes from the 16,776,528 cells of base 5792, 67 MB of uint32 keys: the runs
+    # are found in 32-bit keys, each temporary dropped once used, and the cells are let go
+    # once their notes exist. It runs in about 310 MiB of address space, 374 MiB with
+    # int64 cell keys; with int64 run keys it needed about 500 MiB
     resource = pytest.importorskip("resource")
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (440 << 20, 440 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (376 << 20, 376 << 20))
 
     path = tmp_path / "m.mid"
     proc = _run_module("cvtfractals", "music", "--base", "5792", "--depth", "1",

@@ -35,6 +35,8 @@ from helpers import (
 )
 
 CSV_HEADER = "onset,duration,pitch,velocity"
+# Notes' onset, duration and pitch columns
+COLUMN_TYPES = (np.int64, np.int64, np.uint8)
 
 
 def note_rows(notes):
@@ -136,8 +138,9 @@ class TestCellsToNotes:
         assert keys == sorted(keys)
 
     def test_runs_are_found_in_narrow_temporaries(self):
-        # 177,147 cells, 1.4 MB of keys: runs are found in 32-bit keys, each temporary
-        # dropped once used; int64 run keys and their differences took 6.8 x the keys
+        # 177,147 cells: runs are found in 32-bit keys, each temporary dropped once used,
+        # 18.5 B/cell; int64 run keys and their differences took 54 B/cell, and the bound
+        # was 36 B/cell while the set held int64 keys
         cells = zero_carry_set(2, 11)
         tracemalloc.start()
         try:
@@ -146,7 +149,7 @@ class TestCellsToNotes:
         finally:
             tracemalloc.stop()
         assert len(notes) == 88_574
-        assert peak <= 4.5 * cells.keys.nbytes
+        assert peak <= 22 * len(cells)
 
     @pytest.mark.parametrize("base,depth", [(2, 4), (2, 5), (3, 3), (5, 2)])
     def test_note_count_matches_run_oracle(self, base, depth):
@@ -339,19 +342,18 @@ class TestSpectralExponent:
 
 class TestWriteMidi:
     def test_events_are_built_in_narrow_words(self, tmp_path):
-        # 88,574 notes, 2.1 MB of columns: the event ticks fit 32-bit keys, sorted in place,
-        # and every delta one VLQ byte, so each event is a 32-bit word; at most the keys,
-        # the words and one temporary of their size live at once: 1.00 x. int64 ticks and
-        # words took 4.08 x, and a merge sort's permutation beside the ticks 2.09 to 2.55 x
+        # 88,574 notes: the event ticks fit 32-bit keys, sorted in place, and every delta
+        # one VLQ byte, so each event is a 32-bit word; at most the keys, the words and one
+        # temporary of their size live at once, 8 B/note each: 24 B/note. int64 ticks and
+        # words took 98 B/note, and a merge sort's permutation beside the ticks 50 to 61 B/note
         notes = cells_to_notes(zero_carry_set(2, 11))
-        columns = notes.onset.nbytes + notes.duration.nbytes + notes.pitch.nbytes
         tracemalloc.start()
         try:
             write_midi(notes, tempo_bpm=120, path=tmp_path / "m.mid")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * columns
+        assert peak <= 26 * len(notes)
 
     def test_empty_notes(self, tmp_path):
         path = tmp_path / "empty.mid"
@@ -520,13 +522,13 @@ class TestNotes:
         with pytest.raises(ValueError):
             Notes(*columns)
 
-    def test_columns_are_read_only_int64_copies(self):
+    def test_columns_are_read_only_copies(self):
         onset = np.array([5, 0])
         notes = Notes(onset, [1, 2], [60, 61])
         onset[0] = 99
         assert note_rows(notes) == [(0, 2, 61), (5, 1, 60)]
-        for col in (notes.onset, notes.duration, notes.pitch):
-            assert col.dtype == np.int64
+        for col, dtype in zip((notes.onset, notes.duration, notes.pitch), COLUMN_TYPES):
+            assert col.dtype == dtype
             with pytest.raises(ValueError):
                 col[0] = 1
 
@@ -539,8 +541,8 @@ class TestNotes:
         rows = sorted(data.draw(st.lists(
             st.tuples(onset_st, st.integers(1, 2**55 - 1), st.integers(0, 127)),
             unique_by=lambda row: (row[0], row[2]), max_size=30)), key=lambda row: (row[0], row[2]))
-        ordered = [np.array(col, dtype=np.int64) for col in zip(*rows)] or [
-            np.zeros(0, dtype=np.int64)] * 3
+        ordered = [np.array(col, dtype=dtype)
+                   for col, dtype in zip(list(zip(*rows)) or [()] * 3, COLUMN_TYPES)]
         given_bytes = [col.tobytes() for col in ordered]
         shuffle = np.array(data.draw(st.permutations(range(len(rows)))), dtype=np.intp)
         notes, shuffled = Notes(*ordered), Notes(*(col[shuffle] for col in ordered))
@@ -551,7 +553,7 @@ class TestNotes:
             # the caller's arrays are neither frozen, changed nor shared
             assert col.flags.writeable and col.tobytes() == given_col
             assert not np.shares_memory(col, built)
-            assert not built.flags.writeable and built.dtype == np.int64
+            assert not built.flags.writeable and built.dtype == col.dtype
 
     def test_stable_sort_by_onset_then_pitch(self):
         notes = make_notes((3, 1, 60), (0, 9, 70), (0, 4, 70), (0, 2, 50))

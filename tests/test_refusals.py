@@ -97,6 +97,13 @@ def test_array_value_refused_naming_the_argument(call, name, value, error):
     assert str(info.value).startswith(f"{name} must be ")
 
 
+def test_keys_are_refused_before_they_narrow():
+    # an 8-wide grid keeps its keys in uint8, where 2**32 + 5 would wrap to the key 5
+    for keys in ([2**32 + 5], np.array([2**32 + 5]), np.array([2**32 + 5], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=f"^keys must be in \\[0, 63\\], got {2**32 + 5}$"):
+            CellSet(2, 3, keys)
+
+
 @pytest.mark.parametrize("tempo", [2.5, 120.5, "3", 3, 7813],
                          ids=["2.5", "120.5", "'3'", "3", "7813"])
 def test_tempo_refused_before_writing(tmp_path, tempo):

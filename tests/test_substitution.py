@@ -20,7 +20,7 @@ from cvtfractals import (
     zero_carry_set,
 )
 from cvtfractals.radix import cvt
-from cvtfractals.table import MAX_CELLS, _carry_triangle, _substitute
+from cvtfractals.table import MAX_CELLS, _carry_triangle, _key_type, _substitute
 from helpers import cell_keys, cell_pairs, digit_pair_keys, digits, substituted_cells
 
 # largest digit count per base whose dense table stays small enough to scan often
@@ -178,7 +178,7 @@ def test_substituted_keys_are_the_keys_the_constructor_makes(case, rng):
     cells = _substitute([np.array([x * modulus + y for x, y in level]) for level in levels],
                         modulus)
     keys = cells.keys
-    assert keys.dtype == np.int64 and not keys.flags.writeable
+    assert keys.dtype == _key_type(cells.extent) and not keys.flags.writeable
     assert (keys[1:] > keys[:-1]).all()
     shuffled = keys.tolist() * 2
     rng.shuffle(shuffled)
@@ -197,17 +197,19 @@ def test_the_constructor_copies_its_callers_keys():
 
 @pytest.mark.parametrize("base,depth,bound", [(3, 8, 1.75), (2000, 1, 4), (2000, 1, 2.5)])
 def test_substitution_peaks_near_the_size_of_its_keys(base, depth, bound):
-    # 1,679,616 and 2,001,000 keys: the set adopts the sorted keys that substitution
+    # 1,679,616 and 2,001,000 keys: the set adopts the sorted uint32 keys that substitution
     # built instead of copying them, a level's offsets are computed in place, and the
-    # carry triangle is found by comparing digits, not through base**2 int64 sums; the
-    # first level's offsets are its keys, so at depth 1 only the triangle is held beside them
+    # carry triangle is built from its rows' offsets, with no base**2 mask or int64 index;
+    # the first level's offsets are its keys, so at depth 1 only the triangle is held
+    # beside them. bound counts 4-byte words a cell: 7, 16 and 10 B/cell, where the
+    # int64 keys' bounds were 14, 32 and 20 B/cell
     tracemalloc.start()
     try:
         cells = zero_carry_set(base, depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * cells.keys.nbytes
+    assert peak <= bound * 4 * len(cells)
 
 
 @settings(max_examples=25, deadline=None)
@@ -217,6 +219,25 @@ def test_substitution_peaks_near_the_size_of_its_keys(base, depth, bound):
 def test_wide_bases_match_the_digit_sum_oracle(base, carry):
     cells = carry_value_set(base, 1, carry * base)
     assert np.array_equal(cells.keys, digit_pair_keys(base, carry * base))
+
+
+# base-2 depths on both sides of each key type's last extent: 16 (uint8), 256 (uint16),
+# 65,536 (uint32)
+KEY_TYPES = {4: np.uint8, 5: np.uint16, 8: np.uint16, 9: np.uint32, 16: np.uint32, 17: np.int64}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(KEY_TYPES)), st.data())
+def test_value_pattern_keys_match_the_oracle_in_their_key_type(depth, data):
+    # a base-2 digit position carrying 1 keeps one digit pair, one carrying 0 keeps three;
+    # at most 7 positions without a carry keep the oracle's product small
+    free = data.draw(st.sets(st.integers(0, depth - 1), max_size=7))
+    carries = [j not in free for j in range(depth)]
+    cells = carry_value_set(2, depth, 2 * sum(1 << j for j, bit in enumerate(carries) if bit))
+    levels = [[divmod(int(k), 2) for k in digit_pair_keys(2, 2 * bit)] for bit in carries[::-1]]
+    extent = 2**depth
+    assert cells.keys.tolist() == cell_keys(sorted(substituted_cells(levels, 2)), extent)
+    assert cells.keys.dtype == KEY_TYPES[depth] == _key_type(extent)
 
 
 def test_triangle_limit_matches_the_pattern_count():

@@ -242,7 +242,7 @@ class TestCellSet:
 
     def test_keys_are_sorted_row_major_and_read_only(self):
         cells = CellSet(3, 1, cell_keys([(2, 0), (0, 1), (2, 0)], 3))
-        assert cells.keys.dtype == np.int64
+        assert cells.keys.dtype == np.uint8  # the narrowest type of a key below 3**2
         assert cells.keys.tolist() == [1, 6]
         with pytest.raises(ValueError):
             cells.keys[0] = 0
